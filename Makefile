@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race lint fuzz bench bench-gate cover examples evaluation trace serve-smoke clean
+.PHONY: all build vet test race lint fuzz bench bench-json bench-gate cover examples evaluation trace serve-smoke clean
 
 all: build vet lint test race
 
@@ -40,26 +40,30 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzParseSeq -fuzztime=10s ./internal/dna/
 	$(GO) test -run=NONE -fuzz=FuzzReader -fuzztime=10s ./internal/fastq/
 	$(GO) test -run=NONE -fuzz=FuzzKVReader -fuzztime=10s ./internal/kvio/
-	$(GO) test -run=NONE -fuzz=FuzzSpmatFromEdgeRuns -fuzztime=10s ./internal/spmat/
 	$(GO) test -run=NONE -fuzz=FuzzSuccinctFromEdgeRuns -fuzztime=10s ./internal/succinct/
 
-# One benchmark per paper table/figure plus the ablations, then the job
-# service's end-to-end throughput (BENCH_serve.json: jobs/sec, queue
-# latency), the fleet scaling sweep (BENCH_fleet.json: jobs/sec and
+# Every benchmark: one per paper table/figure plus the ablations, after
+# the JSON-emitting ones below.
+bench: bench-json
+	$(GO) test -bench=. -benchmem ./...
+
+# The JSON-emitting benchmarks, each writing its report to the repo root:
+# the job service's end-to-end throughput (BENCH_serve.json: jobs/sec,
+# queue latency), the fleet scaling sweep (BENCH_fleet.json: jobs/sec and
 # p50/p99 queue latency at 1/2/4 devices, steal on/off), the
 # serial-vs-overlapped stream comparison (BENCH_streams.json: modeled and
-# wall seconds per phase), the graph-backend comparison
-# (BENCH_graph.json: modeled seconds and edge counts per engine), and the
-# backend host-memory comparison (BENCH_mem.json: measured graph/host
-# peaks and modeled seconds per engine at two scales).
-bench:
-	$(GO) test -bench=. -benchmem ./...
+# wall seconds per phase), the graph-engine comparison (BENCH_graph.json:
+# modeled seconds and edge counts per engine), the engine host-memory
+# comparison (BENCH_mem.json: measured graph/host peaks and modeled
+# seconds per engine at two scales), and the hot-path loops
+# (BENCH_wall.json: ns/op, allocs/op).
+bench-json:
+	BENCH_STREAMS_OUT=$(CURDIR)/BENCH_streams.json \
+		$(GO) test -run=NONE -bench=PipelineStreams -benchtime=1x .
 	BENCH_SERVE_OUT=$(CURDIR)/BENCH_serve.json \
 		$(GO) test -run=NONE -bench=ServeThroughput -benchtime=8x ./internal/serve/
 	BENCH_FLEET_OUT=$(CURDIR)/BENCH_fleet.json \
 		$(GO) test -run=NONE -bench=FleetThroughput -benchtime=1x ./internal/serve/
-	BENCH_STREAMS_OUT=$(CURDIR)/BENCH_streams.json \
-		$(GO) test -run=NONE -bench=PipelineStreams -benchtime=1x .
 	BENCH_GRAPH_OUT=$(CURDIR)/BENCH_graph.json \
 		$(GO) test -run=NONE -bench=GraphBackends -benchtime=1x .
 	BENCH_MEM_OUT=$(CURDIR)/BENCH_mem.json \
@@ -67,28 +71,16 @@ bench:
 	BENCH_WALL_OUT=$(CURDIR)/BENCH_wall.json \
 		$(GO) test -run=NONE -bench=HotPaths -benchtime=1x .
 
-# Regenerate the JSON-emitting benchmarks and compare their modeled and
-# host-peak metrics against the committed baselines under bench/,
-# failing on any >15% regression. Wall-clock and throughput numbers are
-# machine-dependent and are not gated (BENCH_serve.json and
-# BENCH_fleet.json have no gated fields, so their comparisons are
-# structural no-ops by design) — except the hot-path loops in
-# BENCH_wall.json, whose ns/op is gated at a deliberately generous 40%
-# and whose allocs/op is gated absolutely (a zero-alloc loop must stay
-# zero-alloc).
-bench-gate:
-	BENCH_STREAMS_OUT=$(CURDIR)/BENCH_streams.json \
-		$(GO) test -run=NONE -bench=PipelineStreams -benchtime=1x .
-	BENCH_SERVE_OUT=$(CURDIR)/BENCH_serve.json \
-		$(GO) test -run=NONE -bench=ServeThroughput -benchtime=8x ./internal/serve/
-	BENCH_FLEET_OUT=$(CURDIR)/BENCH_fleet.json \
-		$(GO) test -run=NONE -bench=FleetThroughput -benchtime=1x ./internal/serve/
-	BENCH_GRAPH_OUT=$(CURDIR)/BENCH_graph.json \
-		$(GO) test -run=NONE -bench=GraphBackends -benchtime=1x .
-	BENCH_MEM_OUT=$(CURDIR)/BENCH_mem.json \
-		$(GO) test -run=NONE -bench=GraphBackendMemory -benchtime=1x .
-	BENCH_WALL_OUT=$(CURDIR)/BENCH_wall.json \
-		$(GO) test -run=NONE -bench=HotPaths -benchtime=1x .
+# Regenerate the JSON reports and compare their modeled and host-peak
+# metrics against the committed baselines under bench/, failing on any
+# >15% regression or on a gated baseline metric the new report lacks.
+# Wall-clock and throughput numbers are machine-dependent and are not
+# gated (BENCH_serve.json and BENCH_fleet.json have no gated fields, so
+# their comparisons are structural no-ops by design) — except the
+# hot-path loops in BENCH_wall.json, whose ns/op is gated at a
+# deliberately generous 40% and whose allocs/op is gated absolutely (a
+# zero-alloc loop must stay zero-alloc).
+bench-gate: bench-json
 	$(GO) run ./scripts/bench_gate bench/BENCH_streams.json BENCH_streams.json
 	$(GO) run ./scripts/bench_gate bench/BENCH_serve.json BENCH_serve.json
 	$(GO) run ./scripts/bench_gate bench/BENCH_fleet.json BENCH_fleet.json

@@ -6,7 +6,7 @@
 //
 //	lasagna -in reads.fastq -workspace ./work -lmin 63
 //	lasagna -in reads.fastq -workspace ./work -lmin 63 -nodes 8 -gpu K20X
-//	lasagna -in a.fastq.gz,b.fastq.gz -workspace ./work -dedupe -fullgraph -reference genome.fasta
+//	lasagna -in a.fastq.gz,b.fastq.gz -workspace ./work -dedupe -graph-backend succinct -reference genome.fasta
 //	lasagna -in reads.fastq -workspace ./work -resume   # re-enter an interrupted run
 //
 // Observability (composes with every mode above, including -resume):
@@ -28,6 +28,7 @@ import (
 
 	"repro"
 	"repro/internal/buildinfo"
+	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/fastq"
 	"repro/internal/obs"
@@ -49,8 +50,7 @@ func main() {
 		keepFiles  = flag.Bool("keep-intermediate", false, "retain partition/sort files")
 		dedupe     = flag.Bool("dedupe", false, "remove duplicate reads before assembly")
 		packed     = flag.Bool("packed", false, "store bulk reads 2-bit packed in host memory")
-		fullGraph  = flag.Bool("fullgraph", false, "full string graph with transitive reduction instead of greedy")
-		backend    = flag.String("graph-backend", "", "reduce/compress engine: greedy (default), spmat (CSR sparse matrix with masked-SpGEMM transitive reduction), or succinct (compressed rank/select adjacency built in one pass from sorted edge runs)")
+		backend    = flag.String("graph-backend", "", "reduce/compress engine: greedy (default) or succinct (string graph with transitive reduction over a compressed rank/select adjacency built in one pass from sorted edge runs)")
 		bsp        = flag.Bool("parallel-traversal", false, "BSP pointer-jumping path traversal")
 		byFp       = flag.Bool("partition-by-fingerprint", false, "distributed shuffle by fingerprint range (with -nodes)")
 		workers    = flag.Int("workers", 0, "concurrent partition workers (0 = GOMAXPROCS, 1 = serial; output is identical)")
@@ -64,10 +64,18 @@ func main() {
 		logFormat  = flag.String("log-format", "text", "structured log format: text or json")
 		version    = flag.Bool("version", false, "print version and exit")
 	)
+	flag.BoolFunc("fullgraph", "removed: use -graph-backend "+core.BackendSuccinct, func(string) error {
+		return fmt.Errorf("-fullgraph was removed: use -graph-backend %s", core.BackendSuccinct)
+	})
 	flag.Parse()
 	if *version {
 		fmt.Println(buildinfo.String("lasagna"))
 		return
+	}
+	if _, err := core.ResolveBackend(*backend); err != nil {
+		fmt.Fprintf(os.Stderr, "lasagna: -graph-backend: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
 	}
 	if *in == "" || *workspace == "" {
 		flag.Usage()
@@ -169,7 +177,6 @@ func main() {
 	cfg.KeepIntermediate = *keepFiles
 	cfg.DedupeReads = *dedupe
 	cfg.PackedReads = *packed
-	cfg.FullGraph = *fullGraph
 	cfg.GraphBackend = *backend
 	cfg.ParallelTraversal = *bsp
 	cfg.Streams = *streams

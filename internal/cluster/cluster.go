@@ -46,7 +46,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/overlap"
 	"repro/internal/sgraph"
-	"repro/internal/spmat"
 	"repro/internal/stats"
 	"repro/internal/succinct"
 )
@@ -93,20 +92,13 @@ type Config struct {
 	// GraphBackend selects the reduce/compress engine, mirroring
 	// core.Config.GraphBackend: "" or core.BackendGreedy runs the paper's
 	// serialized greedy graph with bit-vector token forwarding;
-	// core.BackendSpmat ships every node's candidate list to the master,
-	// builds the CSR string graph there (the spmat Builder is
-	// order-independent, so the cluster's arrival order cannot change the
-	// matrix), and removes transitive edges with the masked SpGEMM pass on
-	// the master's device. core.BackendSuccinct also serializes through
-	// the master but spills candidates to disk and streams the sorted
-	// runs into the compressed store, so the master's host peak stays at
-	// the compressed size instead of the CSR size. Contig output is
-	// byte-identical to a single-node run under the same backend.
-	// Output-relevant: part of the per-node manifest fingerprints.
+	// core.BackendSuccinct ships every node's candidate list to the
+	// master, which runs the same core.ReduceSuccinct as a single-node
+	// run: the sorted spill makes the store independent of the cluster's
+	// arrival order, so contig output is byte-identical to a single-node
+	// succinct run. Output-relevant: part of the per-node manifest
+	// fingerprints.
 	GraphBackend string
-	// TransitiveFuzz is the overhang slack for the spmat transitive
-	// reduction, mirroring core.Config.TransitiveFuzz.
-	TransitiveFuzz int
 	// Resume re-enters an interrupted run from the nodes' private storage
 	// directories, mirroring core.Config.Resume: each node keeps a run
 	// manifest in its own dir, and a per-node stage (Map, Shuffle, Sort)
@@ -175,17 +167,14 @@ func (c Config) Validate() error {
 		MapBatchReads:    c.MapBatchReads,
 		GPU:              c.GPU,
 		GraphBackend:     c.GraphBackend,
-		TransitiveFuzz:   c.TransitiveFuzz,
 	}
 	return single.Validate()
 }
 
-// backend resolves the GraphBackend knob: the empty string means greedy.
+// backend is the resolved GraphBackend of a validated configuration.
 func (c Config) backend() string {
-	if c.GraphBackend == "" {
-		return core.BackendGreedy
-	}
-	return c.GraphBackend
+	b, _ := core.ResolveBackend(c.GraphBackend)
+	return b
 }
 
 func (c Config) profile() costmodel.Profile {
@@ -217,15 +206,11 @@ type Cluster struct {
 	cfg   Config
 	nodes []*node
 	// serial meters the reduce phase's serialized component: greedy graph
-	// building and bit-vector token forwarding (or, under the spmat
-	// backend, CSR assembly on the master).
+	// building and bit-vector token forwarding (or, under the succinct
+	// backend, shipping candidates to the master and spilling them).
 	serial *costmodel.Meter
-	// spmatRed holds the master's transitive reduction between the reduce
-	// and compress phases when the spmat backend is selected; reset at the
-	// start of every reduce.
-	spmatRed *spmat.Reduction
-	// succRed is the succinct backend's analogue: the masked reduction
-	// over the master's compressed store.
+	// succRed holds the master's transitive reduction between the reduce
+	// and compress phases when the succinct backend is selected.
 	succRed *succinct.Reduction
 
 	// FaultHook, when set, fires after a node commits a stage to its
@@ -246,8 +231,8 @@ type Result struct {
 	NumReads       int
 	CandidateEdges int64
 	AcceptedEdges  int64
-	// ReducedEdges counts the transitive edges removed by the spmat
-	// backend's masked SpGEMM pass; zero under the greedy backend, which
+	// ReducedEdges counts the transitive edges removed by the succinct
+	// backend's masked two-hop pass; zero under the greedy backend, which
 	// never materializes transitive edges.
 	ReducedEdges int64
 	TotalWall    time.Duration
@@ -444,7 +429,7 @@ func (c Config) fingerprint(nodeID int) string {
 		c.PartitionByFingerprint, c.IncludeSingletons, c.BreakCycles)
 	// The resolved backend, matching core.Config.fingerprint: "" and
 	// "greedy" must fingerprint identically.
-	fmt.Fprintf(h, "|backend=%s|fuzz=%d", c.backend(), c.TransitiveFuzz)
+	fmt.Fprintf(h, "|backend=%s", c.backend())
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -947,20 +932,18 @@ func (c *Cluster) reducePhase(ctx context.Context, rs *dna.ReadSet, res *Result)
 	}
 
 	// Serialized graph building (the t_g component). Greedy: token
-	// forwarding between owners in descending length order. Spmat:
-	// candidate lists ship to the master, which assembles the CSR matrix
-	// and runs the device transitive reduction. The wall-clock cost is
-	// tiny; the modeled cost is charged to the dedicated serial meter (and
-	// the master's device meter for the SpGEMM pass) and added to the
-	// reduce phase.
+	// forwarding between owners in descending length order. Succinct:
+	// candidate lists ship to the master, which builds the compressed
+	// store and runs the device transitive reduction. The wall-clock cost
+	// is tiny; the modeled cost is charged to the dedicated serial meter
+	// (and the master's meter for the spill, sort, and reduction) and
+	// added to the reduce phase.
 	serialBefore := c.serial.Snapshot()
 	serialSpan := c.cfg.Obs.Tracer().Begin(obs.Track{}, "stage", "ReduceSerial").
 		Metered(c.serial, c.cfg.profile())
 	var serialErr error
 	var trTime time.Duration
-	if c.cfg.backend() == core.BackendSpmat {
-		trTime, serialErr = c.reduceSpmatOnMaster(ctx, rs, maxLen, candidates, res)
-	} else if c.cfg.backend() == core.BackendSuccinct {
+	if c.cfg.backend() == core.BackendSuccinct {
 		trTime, serialErr = c.reduceSuccinctOnMaster(ctx, rs, maxLen, candidates, res)
 	} else {
 		token := bitvec.New(2 * rs.NumReads())
@@ -1011,185 +994,50 @@ func (c *Cluster) reducePhase(ctx context.Context, rs *dna.ReadSet, res *Result)
 	return serialErr
 }
 
-// reduceSpmatOnMaster is the spmat backend's serialized component: every
-// node's candidate list ships to the master, which assembles the CSR
-// string graph and runs the masked SpGEMM transitive reduction on its
-// device. The Builder dedupes and sorts internally, so the cluster's
-// candidate arrival order cannot change the matrix — the property that
-// makes cluster output byte-identical to a single-node spmat run.
-// Returns the master's modeled device time for the reduction (overlap
-// savings already netted out), which the caller folds into the reduce
-// phase alongside the serial-meter time.
-func (c *Cluster) reduceSpmatOnMaster(ctx context.Context, rs *dna.ReadSet, maxLen int,
-	candidates map[int][][]cand, res *Result) (time.Duration, error) {
-	master := c.nodes[0]
-	b := spmat.NewBuilder(rs.NumReads())
-	for l := maxLen - 1; l >= c.cfg.MinOverlap; l-- {
-		slots := candidates[l]
-		if slots == nil {
-			continue
-		}
-		for nodeID, list := range slots {
-			if len(list) == 0 {
-				continue
-			}
-			if nodeID != master.id {
-				// Candidate lists travel to the master: ~6 bytes per edge
-				// (4-byte vertex + overlap length, Section III-C's sizing).
-				c.serial.AddNet(int64(len(list)) * 6)
-			}
-			for _, cd := range list {
-				// Same serialized host-memory model as greedy graph
-				// building: each candidate touches ~4 randomly-addressed
-				// cache lines.
-				c.serial.AddHostMem(4 * 64)
-				b.AddOverlap(cd.u, cd.v, uint16(l))
-			}
-		}
-		delete(candidates, l)
-	}
-	master.hostMem.Add(b.ApproxBytes())
-	m := b.Build()
-	master.hostMem.Release(b.ApproxBytes())
-	master.hostMem.Add(m.ApproxBytes())
-	defer master.hostMem.Release(m.ApproxBytes())
-
-	meterBefore := master.meter.Snapshot()
-	savedBefore := master.ledger.SavedSeconds()
-	red, err := m.TransitiveReduce(ctx, spmat.ReduceConfig{
-		Device:           master.dev,
-		VertexLen:        rs.VertexLen,
-		Fuzz:             c.cfg.TransitiveFuzz,
-		MaxResidentBytes: 4 * int64(c.cfg.DeviceBlockPairs) * kv.PairBytes,
-		Overlap:          master.ledger,
-	})
-	if err != nil {
-		return 0, err
-	}
-	trTime := master.meter.Snapshot().Sub(meterBefore).Time(c.cfg.profile()) -
-		time.Duration((master.ledger.SavedSeconds()-savedBefore)*float64(time.Second))
-	if trTime < 0 {
-		trTime = 0
-	}
-	c.spmatRed = red
-	res.ReducedEdges = red.Removed
-	res.AcceptedEdges = m.NNZ() - red.Removed
-	mtr := c.cfg.Obs.Metrics()
-	mtr.Counter(`graph.nnz{backend="spmat"}`).Add(m.NNZ())
-	mtr.Counter(`graph.removed_edges{backend="spmat"}`).Add(red.Removed)
-	mtr.Counter(`graph.spgemm_flops{backend="spmat"}`).Add(red.Flops)
-	return trTime, nil
-}
-
-// reduceSuccinctOnMaster is the succinct backend's serialized component:
-// candidate lists ship to the master (same network model as spmat), but
-// instead of assembling a CSR matrix in memory, the master spills the
-// directed edges (with complements) to a scratch kv file, external-sorts
-// them on its device, and streams the final merge straight into the
-// compressed builder — the full edge list never materializes in the
-// master's host memory. The masked reduction then runs spmat's exact
-// predicate over the compressed store, so cluster output remains
-// byte-identical to a single-node succinct (and spmat) run.
+// reduceSuccinctOnMaster is the succinct backend's serialized
+// component: every node's candidate list ships to the master in
+// descending length order and feeds core.ReduceSuccinct on the master's
+// device and storage, the same reduce a single-node run performs.
+// Returns the master's modeled time for the spill, sort, and reduction
+// (overlap savings already netted out), which the caller folds into the
+// reduce phase alongside the serial-meter time. The compressed store
+// stays charged to the master until compress consumes it.
 func (c *Cluster) reduceSuccinctOnMaster(ctx context.Context, rs *dna.ReadSet, maxLen int,
 	candidates map[int][][]cand, res *Result) (time.Duration, error) {
 	master := c.nodes[0]
 	meterBefore := master.meter.Snapshot()
 	savedBefore := master.ledger.SavedSeconds()
-
-	tmpDir := filepath.Join(master.dir, "sort_succinct")
-	if err := os.MkdirAll(tmpDir, 0o755); err != nil {
-		return 0, err
-	}
-	defer os.RemoveAll(tmpDir)
-	spillPath := filepath.Join(tmpDir, "cand.kv")
-	w, err := kvio.NewWriter(spillPath, master.meter)
-	if err != nil {
-		return 0, err
-	}
-	writeEdge := func(u, v uint32, l uint16) error {
-		return w.Write(kv.Pair{Key: kv.Key{Hi: uint64(u)<<32 | uint64(v), Lo: uint64(l)}})
-	}
-	var wErr error
-	for l := maxLen - 1; l >= c.cfg.MinOverlap; l-- {
-		slots := candidates[l]
-		if slots == nil {
-			continue
-		}
-		for nodeID, list := range slots {
-			if len(list) == 0 {
-				continue
-			}
-			if nodeID != master.id {
-				// Candidate lists travel to the master: ~6 bytes per edge
-				// (4-byte vertex + overlap length, Section III-C's sizing).
-				c.serial.AddNet(int64(len(list)) * 6)
-			}
-			for _, cd := range list {
-				// The serialized host cost here is the spill append — one
-				// sequential cache line per candidate, not spmat's four
-				// random ones.
-				c.serial.AddHostMem(64)
-				if cd.u == cd.v || cd.u == dna.ComplementVertex(cd.v) {
-					continue
-				}
-				if wErr == nil {
-					wErr = writeEdge(cd.u, cd.v, uint16(l))
-				}
-				if wErr == nil {
-					wErr = writeEdge(dna.ComplementVertex(cd.v), dna.ComplementVertex(cd.u), uint16(l))
-				}
-			}
-		}
-		delete(candidates, l)
-	}
-	if cerr := w.Close(); wErr == nil {
-		wErr = cerr
-	}
-	if wErr != nil {
-		return 0, wErr
-	}
-
-	b, err := succinct.NewBuilder(2*rs.NumReads(), &master.hostMem)
-	if err != nil {
-		return 0, err
-	}
-	_, err = extsort.SortStream(ctx, extsort.Config{
+	red, err := core.ReduceSuccinct(ctx, extsort.Config{
 		Device:           master.dev,
 		Meter:            master.meter,
 		HostMem:          &master.hostMem,
 		HostBlockPairs:   c.cfg.HostBlockPairs,
 		DeviceBlockPairs: c.cfg.DeviceBlockPairs,
-		TempDir:          tmpDir,
+		TempDir:          filepath.Join(master.dir, "sort_succinct"),
 		Obs:              c.cfg.Obs,
 		Overlap:          master.ledger,
-	}, spillPath, func(batch []kv.Pair) error {
-		for _, pr := range batch {
-			e := succinct.Edge{U: uint32(pr.Key.Hi >> 32), V: uint32(pr.Key.Hi), Len: uint16(pr.Key.Lo)}
-			if err := b.Push(e); err != nil {
-				return err
+	}, &master.hostMem, rs, func(add func(u, v uint32, l uint16)) error {
+		for l := maxLen - 1; l >= c.cfg.MinOverlap; l-- {
+			for nodeID, list := range candidates[l] {
+				if nodeID != master.id {
+					// Candidate lists travel to the master: ~6 bytes per
+					// edge (4-byte vertex + overlap length, Section
+					// III-C's sizing).
+					c.serial.AddNet(int64(len(list)) * 6)
+				}
+				for _, cd := range list {
+					// The serialized host cost is the spill append — one
+					// sequential cache line per candidate, not greedy
+					// graph building's four random ones.
+					c.serial.AddHostMem(64)
+					add(cd.u, cd.v, uint16(l))
+				}
 			}
+			delete(candidates, l)
 		}
 		return nil
 	})
 	if err != nil {
-		b.Abandon()
-		return 0, err
-	}
-	g, err := b.Finish()
-	if err != nil {
-		b.Abandon()
-		return 0, err
-	}
-	// The compressed store stays charged until compress consumes it.
-	red, err := g.TransitiveReduce(ctx, succinct.ReduceConfig{
-		Device:           master.dev,
-		VertexLen:        rs.VertexLen,
-		Fuzz:             c.cfg.TransitiveFuzz,
-		MaxResidentBytes: 4 * int64(c.cfg.DeviceBlockPairs) * kv.PairBytes,
-		Overlap:          master.ledger,
-	})
-	if err != nil {
-		master.hostMem.Release(g.HostBytes())
 		return 0, err
 	}
 	trTime := master.meter.Snapshot().Sub(meterBefore).Time(c.cfg.profile()) -
@@ -1199,33 +1047,23 @@ func (c *Cluster) reduceSuccinctOnMaster(ctx context.Context, rs *dna.ReadSet, m
 	}
 	c.succRed = red
 	res.ReducedEdges = red.Removed
-	res.AcceptedEdges = g.NNZ() - red.Removed
-	mtr := c.cfg.Obs.Metrics()
-	mtr.Counter(`graph.nnz{backend="succinct"}`).Add(g.NNZ())
-	mtr.Counter(`graph.removed_edges{backend="succinct"}`).Add(red.Removed)
-	mtr.Counter(`graph.spgemm_flops{backend="succinct"}`).Add(red.Flops)
+	res.AcceptedEdges = red.Graph().NNZ() - red.Removed
 	return trTime, nil
 }
 
 // compressOnMaster merges the disjoint per-node edge sets and generates
-// contigs on node 0. Under the spmat backend the live (post-reduction)
-// matrix entries replace the per-node greedy edge sets, and contigs are
-// spelled from unitig chains — the same rule as the single-node spmat
+// contigs on node 0. Under the succinct backend the live (post-reduction)
+// store entries replace the per-node greedy edge sets, and contigs are
+// spelled from unitig chains — the same rule as the single-node succinct
 // compress, so the FASTA bytes match it exactly.
 func (c *Cluster) compressOnMaster(rs *dna.ReadSet, res *Result) error {
 	master := c.nodes[0]
 	var paths []graph.Path
-	if c.cfg.backend() == core.BackendSpmat {
-		fg := sgraph.New(rs.NumReads())
-		c.spmatRed.Live(func(e spmat.Edge) {
-			fg.InstallEdge(e.U, e.V, e.Len)
-		})
-		paths = fg.Unitigs(rs.VertexLen, c.cfg.IncludeSingletons)
-	} else if c.cfg.backend() == core.BackendSuccinct {
+	if c.cfg.backend() == core.BackendSuccinct {
 		// Unitigs spell directly off the masked compressed store — the
 		// live view iterates surviving edges in the same ascending order a
 		// rebuilt graph would, so the FASTA bytes match the single-node
-		// succinct (and spmat) output exactly.
+		// succinct output exactly.
 		paths = sgraph.UnitigsOf(c.succRed.LiveView(), rs.VertexLen, c.cfg.IncludeSingletons)
 		master.hostMem.Release(c.succRed.Graph().HostBytes())
 		c.succRed = nil

@@ -66,32 +66,15 @@ type Config struct {
 	// full re-run; stale state is never trusted. See DESIGN.md, "Stage
 	// graph and resume".
 	Resume bool
-	// FullGraph switches the reduce phase from the paper's greedy graph
-	// to the full string graph of Section II-A.2: every candidate overlap
-	// becomes an edge, transitive edges are removed (Myers 2005), and
-	// contigs are spelled from unitig chains. Costs memory proportional
-	// to the number of overlaps instead of the number of reads.
-	FullGraph bool
-	// TransitiveFuzz is the overhang slack allowed when identifying
-	// transitive edges in FullGraph and spmat modes (0 suits exact,
-	// error-free overlaps).
-	TransitiveFuzz int
 	// GraphBackend selects the engine behind the Reduce and Compress
 	// stages. "" or BackendGreedy is the paper's pipeline: the greedy
-	// bit-vector graph (or the sgraph full graph when FullGraph is set).
-	// BackendSpmat stores the string graph as a CSR sparse matrix and
-	// removes transitive edges with a masked SpGEMM pass metered as
-	// batched, tiled device kernels (see internal/spmat). spmat removes a
-	// superset of the Myers sweep's transitive edges while preserving
-	// reachability; contigs are spelled from the same unitig rule as
-	// FullGraph (see DESIGN.md, "Sparse-matrix graph backend").
-	// BackendSuccinct runs the same reduction predicate over a
+	// bit-vector graph. BackendSuccinct builds the full string graph of
+	// Section II-A.2 instead: every candidate overlap becomes an edge of a
 	// delta-compressed adjacency store built streaming off the sorted
-	// candidate runs, trading decode work for a host peak several times
-	// below the CSR and edge-list layouts (see DESIGN.md, "Succinct
-	// overlap-graph store"). spmat and succinct produce byte-identical
-	// contigs. Output-relevant: part of the resume fingerprint. spmat and
-	// succinct are mutually exclusive with FullGraph.
+	// candidate runs, a masked two-hop pass removes transitive edges, and
+	// contigs are spelled from unitig chains (see DESIGN.md, "Succinct
+	// overlap-graph store"). Output-relevant: part of the resume
+	// fingerprint. Resolve values with ResolveBackend.
 	GraphBackend string
 	// ParallelTraversal extracts paths with the BSP pointer-jumping
 	// traversal (the paper's future-work parallel graph processing)
@@ -158,20 +141,35 @@ const (
 	// BackendGreedy is the paper's reduce/compress engine (also the
 	// resolution of the empty string).
 	BackendGreedy = "greedy"
-	// BackendSpmat is the sparse-matrix engine: CSR adjacency, masked
-	// SpGEMM transitive reduction, unitig compression.
-	BackendSpmat = "spmat"
 	// BackendSuccinct is the compressed-store engine: the string graph's
 	// adjacency held as delta-compressed byte streams indexed by
 	// Elias–Fano offsets, constructed in a single streaming pass off the
 	// sorted candidate runs (the full edge list never materializes in
-	// host memory), with the same masked transitive-reduction predicate
-	// as spmat and the same unitig compression (see internal/succinct).
+	// host memory), a masked two-hop transitive reduction, and unitig
+	// compression (see internal/succinct).
 	BackendSuccinct = "succinct"
 )
 
 // Backends lists the valid GraphBackend values, for CLI/API validation.
-var Backends = []string{BackendGreedy, BackendSpmat, BackendSuccinct}
+var Backends = []string{BackendGreedy, BackendSuccinct}
+
+// ResolveBackend maps a GraphBackend value to the engine it selects: the
+// empty string means greedy. Any other value outside Backends is an
+// error naming the valid engines; the removed "spmat" engine gets its
+// own message pointing at succinct, which replaced it with
+// byte-identical output.
+func ResolveBackend(name string) (string, error) {
+	switch name {
+	case "":
+		return BackendGreedy, nil
+	case BackendGreedy, BackendSuccinct:
+		return name, nil
+	case "spmat":
+		return "", fmt.Errorf("graph backend %q was removed: use %q, which produces the same contigs",
+			name, BackendSuccinct)
+	}
+	return "", fmt.Errorf("unknown graph backend %q (want %q or %q)", name, BackendGreedy, BackendSuccinct)
+}
 
 // The Config.Priority admission lanes, in descending scheduling priority.
 const (
@@ -247,26 +245,16 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: unknown Priority %q (want %q or %q)",
 			c.Priority, PriorityBatch, PriorityInteractive)
 	}
-	switch c.GraphBackend {
-	case "", BackendGreedy:
-	case BackendSpmat, BackendSuccinct:
-		if c.FullGraph {
-			return fmt.Errorf("core: GraphBackend %q and FullGraph are mutually exclusive graph engines",
-				c.GraphBackend)
-		}
-	default:
-		return fmt.Errorf("core: unknown GraphBackend %q (want %q, %q, or %q)",
-			c.GraphBackend, BackendGreedy, BackendSpmat, BackendSuccinct)
+	if _, err := ResolveBackend(c.GraphBackend); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
 	return nil
 }
 
-// backend resolves the GraphBackend knob: the empty string means greedy.
+// backend is the resolved GraphBackend of a validated configuration.
 func (c Config) backend() string {
-	if c.GraphBackend == "" {
-		return BackendGreedy
-	}
-	return c.GraphBackend
+	b, _ := ResolveBackend(c.GraphBackend)
+	return b
 }
 
 // Profile returns the cost-model profile for the configured hardware.

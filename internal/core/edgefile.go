@@ -58,7 +58,7 @@ func writeEdgeFile(path string, meter *costmodel.Meter, next func() (persistedEd
 }
 
 // edgeFileIterator streams edges.kv pull-style for consumers that need a
-// next() interface — the spmat CSR build validates ordering as it
+// next() interface — the succinct store build validates ordering as it
 // consumes, so it cannot use the push-style readEdgeFile.
 type edgeFileIterator struct {
 	r      *kvio.Reader

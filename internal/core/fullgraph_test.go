@@ -1,5 +1,8 @@
 package core
 
+// The full string graph of Section II-A.2 is the succinct engine's
+// graph; these tests pin its end-to-end behaviour.
+
 import (
 	"strings"
 	"testing"
@@ -12,7 +15,7 @@ func TestFullGraphModeAssembles(t *testing.T) {
 	genome := readsim.Genome(readsim.GenomeParams{Length: 5000, Seed: 501})
 	reads := readsim.Simulate(genome, readsim.ReadParams{ReadLen: 64, Coverage: 14, Seed: 502})
 	cfg := smallConfig(t)
-	cfg.FullGraph = true
+	cfg.GraphBackend = BackendSuccinct
 	cfg.DedupeReads = true
 	cfg.VerifyOverlaps = true
 	p, err := New(cfg)
@@ -42,13 +45,16 @@ func TestFullGraphModeAssembles(t *testing.T) {
 }
 
 func TestFullGraphAtLeastAsContiguousAsGreedy(t *testing.T) {
-	// The full graph avoids greedy commitment mistakes; on deduplicated
-	// error-free data its N50 must be at least the greedy N50.
+	// The full string graph (the succinct engine) avoids greedy
+	// commitment mistakes; on deduplicated error-free data its N50 must
+	// be at least the greedy N50.
 	genome := readsim.Genome(readsim.GenomeParams{Length: 6000, Seed: 503})
 	reads := readsim.Simulate(genome, readsim.ReadParams{ReadLen: 64, Coverage: 18, Seed: 504})
 	run := func(full bool) int {
 		cfg := smallConfig(t)
-		cfg.FullGraph = full
+		if full {
+			cfg.GraphBackend = BackendSuccinct
+		}
 		cfg.DedupeReads = true
 		p, err := New(cfg)
 		if err != nil {
@@ -76,7 +82,7 @@ func TestFullGraphAtLeastAsContiguousAsGreedy(t *testing.T) {
 func TestFullGraphContigsWrittenToFasta(t *testing.T) {
 	_, reads := testGenomeReads(t, 1500, 50, 10)
 	cfg := smallConfig(t)
-	cfg.FullGraph = true
+	cfg.GraphBackend = BackendSuccinct
 	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

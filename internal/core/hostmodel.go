@@ -19,9 +19,6 @@ const modeledGraphDegree = 8
 //
 //   - greedy: per-vertex arrays only (successor, overlap length, one bit
 //     of out-mask) — no per-edge term, the paper's O(reads) design.
-//   - spmat: the COO builder (10 B/entry) and the packed CSR
-//     (8 B/rowPtr + 6 B/entry) coexist at Build time, so the peak is
-//     their sum.
 //   - succinct: the compressed adjacency stream (~3 B/entry) plus the
 //     two Elias–Fano offset sequences (~2 B/vertex) — the builder's
 //     transient bookkeeping is smaller than the sealed structure, so the
@@ -32,8 +29,6 @@ func GraphHostModel(backend string, numReads, maxReadLen int) int64 {
 	reads := int64(numReads)*int64(maxReadLen) + 4*int64(numReads)
 	var g int64
 	switch backend {
-	case BackendSpmat:
-		g = 10*nnz + 8*(n+1) + 6*nnz
 	case BackendSuccinct:
 		g = 3*nnz + 2*(n+1)
 	default: // greedy (and the empty-string resolution)

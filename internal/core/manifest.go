@@ -16,7 +16,7 @@ import (
 
 // manifestVersion guards the on-disk schema: a manifest written by an
 // incompatible build never validates, forcing a clean re-run.
-const manifestVersion = 1
+const manifestVersion = 2
 
 // ManifestName is the run-manifest file name within a workspace (or a
 // cluster node's private storage directory).
@@ -141,9 +141,8 @@ func (c Config) fingerprint() string {
 	fmt.Fprintf(h, "v%d|min=%d|mh=%d|md=%d|mb=%d|gpu=%s/%d",
 		manifestVersion, c.MinOverlap, c.HostBlockPairs, c.DeviceBlockPairs,
 		c.MapBatchReads, c.GPU.Name, c.GPU.MemBytes)
-	fmt.Fprintf(h, "|sing=%t|cyc=%t|fg=%t|fuzz=%d|ptrav=%t|pack=%t|dedupe=%t|naive=%t|verify=%t",
-		c.IncludeSingletons, c.BreakCycles, c.FullGraph, c.TransitiveFuzz,
-		c.ParallelTraversal, c.PackedReads, c.DedupeReads, c.NaiveMapKernel, c.VerifyOverlaps)
+	fmt.Fprintf(h, "|sing=%t|cyc=%t|ptrav=%t|pack=%t|dedupe=%t|naive=%t|verify=%t",
+		c.IncludeSingletons, c.BreakCycles, c.ParallelTraversal, c.PackedReads, c.DedupeReads, c.NaiveMapKernel, c.VerifyOverlaps)
 	// The resolved backend, not the raw knob: "" and "greedy" must
 	// fingerprint identically because they produce identical bytes.
 	fmt.Fprintf(h, "|backend=%s", c.backend())

@@ -96,15 +96,15 @@ func TestWorkersDeterminism(t *testing.T) {
 }
 
 // TestWorkersDeterminismFullGraph repeats the worker-count contract for
-// the FullGraph tail, whose transitive reduction consumes the candidate
-// edges in insertion order.
+// the full string graph (the succinct engine), whose candidate spill
+// consumes the edges in runReduce's ordered apply.
 func TestWorkersDeterminismFullGraph(t *testing.T) {
 	_, reads := testGenomeReads(t, 2000, 48, 8)
 	var base *Result
 	for _, w := range []int{1, 4} {
 		cfg := smallConfig(t)
 		cfg.Workers = w
-		cfg.FullGraph = true
+		cfg.GraphBackend = BackendSuccinct
 		p, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)

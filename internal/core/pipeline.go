@@ -25,7 +25,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/overlap"
 	"repro/internal/sgraph"
-	"repro/internal/spmat"
 	"repro/internal/stats"
 	"repro/internal/succinct"
 )
@@ -70,7 +69,7 @@ type Result struct {
 	PairsGenerated    int64 // map-phase tuples written
 	CandidateEdges    int64 // reduce-phase fingerprint matches
 	AcceptedEdges     int64 // directed edges in the final graph
-	ReducedEdges      int64 // transitive edges removed (FullGraph mode)
+	ReducedEdges      int64 // transitive edges removed (succinct backend)
 	FalsePositives    int64 // verified-mismatch candidates (VerifyOverlaps)
 	SortDiskPasses    int   // max disk passes over any partition
 
@@ -656,43 +655,15 @@ func (p *Pipeline) sortPhase(ctx context.Context, partDir string, counts map[int
 	})
 }
 
-// reducePhase runs the configured reduce mode and persists the accepted
-// edge list to edgePath. In greedy mode candidates feed the paper's
-// bit-vector graph; in FullGraph mode every candidate enters the full
-// string graph and transitive edges are removed before persisting.
+// reducePhase runs the configured reduce engine and persists the
+// accepted edge list to edgePath. In greedy mode candidates feed the
+// paper's bit-vector graph; under the succinct backend every candidate
+// enters the string graph and transitive edges are removed before
+// persisting.
 func (p *Pipeline) reducePhase(ctx context.Context, rs dna.ReadSource, partDir string,
 	counts map[int]int64, edgePath string, res *Result) error {
-	switch p.cfg.backend() {
-	case BackendSpmat:
-		return p.reduceSpmat(ctx, rs, partDir, counts, edgePath, res)
-	case BackendSuccinct:
+	if p.cfg.backend() == BackendSuccinct {
 		return p.reduceSuccinct(ctx, rs, partDir, counts, edgePath, res)
-	}
-	if p.cfg.FullGraph {
-		fg := sgraph.New(rs.NumReads())
-		err := p.runReduce(ctx, rs, partDir, counts, res, func(u, v uint32, l uint16) {
-			fg.AddOverlap(u, v, l)
-		})
-		if err != nil {
-			return err
-		}
-		defer p.trackGraph(fg.ApproxBytes())()
-		res.ReducedEdges = fg.TransitiveReduce(rs.VertexLen, p.cfg.TransitiveFuzz)
-		res.AcceptedEdges = fg.NumEdges(false)
-		mtr := p.cfg.Obs.Metrics()
-		mtr.Counter(`graph.nnz{backend="greedy"}`).Add(res.AcceptedEdges + res.ReducedEdges)
-		mtr.Counter(`graph.removed_edges{backend="greedy"}`).Add(res.ReducedEdges)
-		edges := fg.DirectedEdges()
-		i := 0
-		_, err = writeEdgeFile(edgePath, p.meter, func() (persistedEdge, bool) {
-			if i >= len(edges) {
-				return persistedEdge{}, false
-			}
-			e := edges[i]
-			i++
-			return persistedEdge{U: e.U, V: e.V, Len: e.Len}, true
-		})
-		return err
 	}
 
 	// Descending length order makes the greedy graph keep the longest
@@ -720,153 +691,33 @@ func (p *Pipeline) reducePhase(ctx context.Context, rs dna.ReadSource, partDir s
 	return err
 }
 
-// reduceSpmat is the sparse-matrix reduce: verified candidates become
-// CSR entries, a masked SpGEMM pass removes transitive edges on the
-// device, and the surviving entries persist to edges.kv in CSR order —
-// the sorted-run order FromEdgeRuns validates on reload.
-func (p *Pipeline) reduceSpmat(ctx context.Context, rs dna.ReadSource, partDir string,
-	counts map[int]int64, edgePath string, res *Result) error {
-	b := spmat.NewBuilder(rs.NumReads())
-	err := p.runReduce(ctx, rs, partDir, counts, res, func(u, v uint32, l uint16) {
-		b.AddOverlap(u, v, l)
-	})
-	if err != nil {
-		return err
-	}
-	releaseB := p.trackGraph(b.ApproxBytes())
-	m := b.Build()
-	releaseM := p.trackGraph(m.ApproxBytes())
-	releaseB()
-	defer releaseM()
-	red, err := m.TransitiveReduce(ctx, spmat.ReduceConfig{
-		Device:    p.dev,
-		VertexLen: rs.VertexLen,
-		Fuzz:      p.cfg.TransitiveFuzz,
-		// The same device budget the sort phase works within, so the pass
-		// honors the DeviceDemandBytes lease multi-tenant admission uses.
-		MaxResidentBytes: 4 * int64(p.cfg.DeviceBlockPairs) * kv.PairBytes,
-		Overlap:          p.ledger,
-	})
-	if err != nil {
-		return err
-	}
-	res.ReducedEdges = red.Removed
-	res.AcceptedEdges = m.NNZ() - red.Removed
-	mtr := p.cfg.Obs.Metrics()
-	mtr.Counter(`graph.nnz{backend="spmat"}`).Add(m.NNZ())
-	mtr.Counter(`graph.removed_edges{backend="spmat"}`).Add(red.Removed)
-	mtr.Counter(`graph.spgemm_flops{backend="spmat"}`).Add(red.Flops)
-	next := red.LiveEdges()
-	_, err = writeEdgeFile(edgePath, p.meter, func() (persistedEdge, bool) {
-		e, ok := next()
-		return persistedEdge{U: e.U, V: e.V, Len: e.Len}, ok
-	})
-	return err
-}
-
-// reduceSuccinct is the compressed-store reduce: verified candidates
-// (and their complements) spill to a scratch kv file as they stream out
-// of the overlap reducer, the external sorter orders them by (U, V), and
-// the succinct builder consumes the final merge output directly — the
-// full edge list never materializes in host memory, on disk or off the
-// sort it exists only as sorted runs. A masked pass over the compressed
-// store then removes transitive edges with spmat's exact predicate, so
-// the surviving edge set — and the downstream contigs — is
-// byte-identical to the spmat backend's.
+// reduceSuccinct feeds the verified candidates, in the ordered runReduce
+// apply, through the shared string-graph reduce and persists the
+// surviving edges to edges.kv in CSR order — the sorted-run order the
+// Compress rebuild validates.
 func (p *Pipeline) reduceSuccinct(ctx context.Context, rs dna.ReadSource, partDir string,
 	counts map[int]int64, edgePath string, res *Result) error {
-	// The spill scratch rides the sort_* naming convention so a crashed
-	// run's leftovers are swept with the other sort debris.
-	tmpDir := filepath.Join(partDir, "sort_succinct")
-	if err := os.MkdirAll(tmpDir, 0o755); err != nil {
-		return err
-	}
-	defer os.RemoveAll(tmpDir)
-	spillPath := filepath.Join(tmpDir, "cand.kv")
-	w, err := kvio.NewWriter(spillPath, p.meter)
-	if err != nil {
-		return err
-	}
-	var wErr error
-	err = p.runReduce(ctx, rs, partDir, counts, res, func(u, v uint32, l uint16) {
-		if wErr != nil {
-			return
-		}
-		// Reject self-loops and hairpins and add the complement edge,
-		// exactly as spmat.Builder.AddOverlap does.
-		if u == v || u == dna.ComplementVertex(v) {
-			return
-		}
-		if wErr = w.Write(persistedEdge{U: u, V: v, Len: l}.pair()); wErr != nil {
-			return
-		}
-		wErr = w.Write(persistedEdge{
-			U: dna.ComplementVertex(v), V: dna.ComplementVertex(u), Len: l}.pair())
-	})
-	if cerr := w.Close(); wErr == nil {
-		wErr = cerr
-	}
-	if err != nil {
-		return err
-	}
-	if wErr != nil {
-		return wErr
-	}
-
-	b, err := succinct.NewBuilder(2*rs.NumReads(), graphSink{p})
-	if err != nil {
-		return err
-	}
-	// Sorted pairs order by (Key.Hi, Key.Lo) = (U<<32|V, Len): exactly
-	// the non-decreasing (U, V) runs the builder requires, duplicates
-	// adjacent for its keep-the-longest dedupe.
-	_, err = extsort.SortStream(ctx, extsort.Config{
+	sink := graphSink{p}
+	red, err := ReduceSuccinct(ctx, extsort.Config{
 		Device:           p.dev,
 		Meter:            p.meter,
 		HostMem:          &p.hostMem,
 		HostBlockPairs:   p.cfg.HostBlockPairs,
 		DeviceBlockPairs: p.cfg.DeviceBlockPairs,
-		TempDir:          tmpDir,
-		Obs:              p.cfg.Obs,
-		Overlap:          p.ledger,
-	}, spillPath, func(batch []kv.Pair) error {
-		for _, pr := range batch {
-			e := edgeFromPair(pr)
-			if err := b.Push(succinct.Edge{U: e.U, V: e.V, Len: e.Len}); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		b.Abandon()
-		return err
-	}
-	g, err := b.Finish()
-	if err != nil {
-		b.Abandon()
-		return err
-	}
-	defer graphSink{p}.Release(g.HostBytes())
-
-	red, err := g.TransitiveReduce(ctx, succinct.ReduceConfig{
-		Device:    p.dev,
-		VertexLen: rs.VertexLen,
-		Fuzz:      p.cfg.TransitiveFuzz,
-		// The same device budget the sort phase works within, so the pass
-		// honors the DeviceDemandBytes lease multi-tenant admission uses.
-		MaxResidentBytes: 4 * int64(p.cfg.DeviceBlockPairs) * kv.PairBytes,
-		Overlap:          p.ledger,
+		// The spill scratch rides the sort_* naming convention so a
+		// crashed run's leftovers are swept with the other sort debris.
+		TempDir: filepath.Join(partDir, "sort_succinct"),
+		Obs:     p.cfg.Obs,
+		Overlap: p.ledger,
+	}, sink, rs, func(add func(u, v uint32, l uint16)) error {
+		return p.runReduce(ctx, rs, partDir, counts, res, add)
 	})
 	if err != nil {
 		return err
 	}
+	defer sink.Release(red.Graph().HostBytes())
 	res.ReducedEdges = red.Removed
-	res.AcceptedEdges = g.NNZ() - red.Removed
-	mtr := p.cfg.Obs.Metrics()
-	mtr.Counter(`graph.nnz{backend="succinct"}`).Add(g.NNZ())
-	mtr.Counter(`graph.removed_edges{backend="succinct"}`).Add(red.Removed)
-	mtr.Counter(`graph.spgemm_flops{backend="succinct"}`).Add(red.Flops)
+	res.AcceptedEdges = red.Graph().NNZ() - red.Removed
 	next := red.LiveEdges()
 	_, err = writeEdgeFile(edgePath, p.meter, func() (persistedEdge, bool) {
 		e, ok := next()
@@ -1145,44 +996,6 @@ func (p *Pipeline) compressPhase(rs dna.ReadSource, edgePath string, res *Result
 		}
 		defer sink.Release(g.HostBytes())
 		paths := sgraph.UnitigsOf(g, rs.VertexLen, p.cfg.IncludeSingletons)
-		return p.writeContigs(rs, paths, res)
-	}
-	if p.cfg.backend() == BackendSpmat {
-		// Rebuild the CSR matrix from the persisted sorted runs —
-		// FromEdgeRuns validates ordering and ranges, so a corrupted edge
-		// file fails here instead of spelling garbage — then spell
-		// contigs from unitig chains exactly like the full-graph path.
-		it, err := newEdgeFileIterator(edgePath, p.meter)
-		if err != nil {
-			return err
-		}
-		m, err := spmat.FromEdgeRuns(2*rs.NumReads(), func() (spmat.Edge, bool, error) {
-			e, ok, err := it.Next()
-			return spmat.Edge{U: e.U, V: e.V, Len: e.Len}, ok, err
-		})
-		if cerr := it.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-		defer p.trackGraph(m.ApproxBytes())()
-		fg := sgraph.New(rs.NumReads())
-		m.Edges(func(e spmat.Edge) { fg.InstallEdge(e.U, e.V, e.Len) })
-		defer p.trackGraph(fg.ApproxBytes())()
-		paths := fg.Unitigs(rs.VertexLen, p.cfg.IncludeSingletons)
-		return p.writeContigs(rs, paths, res)
-	}
-	if p.cfg.FullGraph {
-		fg := sgraph.New(rs.NumReads())
-		err := readEdgeFile(edgePath, p.meter, func(e persistedEdge) {
-			fg.InstallEdge(e.U, e.V, e.Len)
-		})
-		if err != nil {
-			return err
-		}
-		defer p.trackGraph(fg.ApproxBytes())()
-		paths := fg.Unitigs(rs.VertexLen, p.cfg.IncludeSingletons)
 		return p.writeContigs(rs, paths, res)
 	}
 	g := graph.New(rs.NumReads())

@@ -136,6 +136,66 @@ func TestResumeFullyCachedRun(t *testing.T) {
 	}
 }
 
+// TestResumePreviousManifestVersionRunsCold pins that a manifest written
+// under an older schema (version 1 fingerprinted the removed FullGraph
+// and TransitiveFuzz knobs) never validates: the resumed run re-executes
+// every stage and reproduces the cold output byte for byte.
+func TestResumePreviousManifestVersionRunsCold(t *testing.T) {
+	reads := testResumeReads(t)
+	for _, backend := range Backends {
+		t.Run(backend, func(t *testing.T) {
+			cfg := smallConfig(t)
+			cfg.GraphBackend = backend
+			p, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first, err := p.Assemble(reads)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(first.ContigPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			path := filepath.Join(cfg.Workspace, ManifestName)
+			m, err := loadManifest(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Version = manifestVersion - 1
+			if err := m.save(path); err != nil {
+				t.Fatal(err)
+			}
+
+			cfg.Resume = true
+			p2, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := p2.Assemble(reads)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.CachedStages) != 0 {
+				t.Fatalf("version-%d manifest replayed stages %v", manifestVersion-1, res.CachedStages)
+			}
+			got, err := os.ReadFile(res.ContigPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(want) {
+				t.Fatal("re-run over an old manifest changed the output")
+			}
+			if res.TotalModeled != first.TotalModeled || res.AcceptedEdges != first.AcceptedEdges {
+				t.Errorf("re-run modeled/accepted %v/%d, cold %v/%d",
+					res.TotalModeled, res.AcceptedEdges, first.TotalModeled, first.AcceptedEdges)
+			}
+		})
+	}
+}
+
 func TestResumeInvalidatedByConfigChange(t *testing.T) {
 	reads := testResumeReads(t)
 	cfg := smallConfig(t)

@@ -57,9 +57,9 @@ func TestAssembleVariableLengthReads(t *testing.T) {
 	}
 }
 
-// TestAssembleVariableLengthFullGraph covers the transitive-reduction
-// path with heterogeneous lengths, where overhang arithmetic uses
-// per-vertex lengths.
+// TestAssembleVariableLengthFullGraph covers the string graph's
+// transitive-reduction path (the succinct engine) with heterogeneous
+// lengths, where overhang arithmetic uses per-vertex lengths.
 func TestAssembleVariableLengthFullGraph(t *testing.T) {
 	genome := readsim.Genome(readsim.GenomeParams{Length: 2000, Seed: 603})
 	rng := rand.New(rand.NewSource(604))
@@ -71,7 +71,7 @@ func TestAssembleVariableLengthFullGraph(t *testing.T) {
 	}
 	cfg := smallConfig(t)
 	cfg.MinOverlap = 28
-	cfg.FullGraph = true
+	cfg.GraphBackend = BackendSuccinct
 	cfg.DedupeReads = true
 	p, err := New(cfg)
 	if err != nil {
@@ -85,7 +85,7 @@ func TestAssembleVariableLengthFullGraph(t *testing.T) {
 	grc := genome.ReverseComplement().String()
 	for i, c := range res.Contigs {
 		if !strings.Contains(gs, c.String()) && !strings.Contains(grc, c.String()) {
-			t.Errorf("full-graph contig %d not a genome substring", i)
+			t.Errorf("string-graph contig %d not a genome substring", i)
 		}
 	}
 	if res.ReducedEdges == 0 {

@@ -17,8 +17,8 @@ import (
 // timeline.
 //
 // Both BSP consumers route through here: the pointer-jumping traversal
-// below (each doubling round is a superstep) and spmat's tiled SpGEMM
-// (each row tile is a superstep). The contract — ordered supersteps, one
+// below (each doubling round is a superstep) and the succinct store's
+// tiled transitive reduction (each row tile is a superstep). The contract — ordered supersteps, one
 // aggregate kernel charge — is pinned by TestRunSuperstepsContract.
 func RunSupersteps(dev *gpu.Device, supersteps int,
 	step func(s int) (memBytes, ops int64)) (memBytes, ops int64) {

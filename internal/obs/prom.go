@@ -14,8 +14,8 @@ import (
 // format (version 0.0.4) and parses it back. Instrument names in this
 // package may embed label blocks — `fleet.device_queued{device="0"}` from
 // the scheduler, plus a `{job="<id>"}` block appended per attached child
-// registry — so `graph.nnz{backend="spmat"}{job="j42"}` becomes the
-// Prometheus series `graph_nnz{backend="spmat",job="j42"}`. Histograms
+// registry — so `graph.nnz{backend="succinct"}{job="j42"}` becomes the
+// Prometheus series `graph_nnz{backend="succinct",job="j42"}`. Histograms
 // render with cumulative buckets and an explicit `+Inf` bound, and label
 // values are escaped per the exposition rules (backslash, quote, newline).
 

@@ -48,7 +48,7 @@ func TestPrometheusRoundTrip(t *testing.T) {
 
 	child := NewRegistry()
 	child.Counter("core.pairs").Add(42)
-	child.Counter(`graph.nnz{backend="spmat"}`).Add(9)
+	child.Counter(`graph.nnz{backend="succinct"}`).Add(9)
 	reg.AttachChild(`job="j42"`, child)
 
 	var buf bytes.Buffer
@@ -80,7 +80,7 @@ func TestPrometheusRoundTrip(t *testing.T) {
 		"fleet_steals|dst=0|src=1":           3,
 		"fleet_device_inuse_bytes|device=0":  4096,
 		"core_pairs|job=j42":                 42,
-		"graph_nnz|backend=spmat|job=j42":    9,
+		"graph_nnz|backend=succinct|job=j42": 9,
 		"serve_queue_wait_ms_bucket|le=1":    1,
 		"serve_queue_wait_ms_bucket|le=10":   2,
 		"serve_queue_wait_ms_bucket|le=100":  2,

@@ -133,9 +133,11 @@ func runFleetBenchWave(b *testing.B, devices int, steal bool, jobs int) fleetBen
 		}
 	}
 	for _, j := range all {
-		for j.State() != StateSucceeded {
-			if j.State().Terminal() {
-				b.Fatalf("bench job %s ended %s", j.Record().ID, j.State())
+		// One state read per poll: reading it twice races the job
+		// finishing between the reads and reports a success as a failure.
+		for st := j.State(); st != StateSucceeded; st = j.State() {
+			if st.Terminal() {
+				b.Fatalf("bench job %s ended %s", j.Record().ID, st)
 			}
 			time.Sleep(200 * time.Microsecond)
 		}

@@ -68,13 +68,12 @@ func (s State) Terminal() bool {
 type Params struct {
 	MinOverlap        int  `json:"minOverlap"`
 	Workers           int  `json:"workers"`
-	FullGraph         bool `json:"fullGraph,omitempty"`
 	DedupeReads       bool `json:"dedupeReads,omitempty"`
 	IncludeSingletons bool `json:"includeSingletons,omitempty"`
 	VerifyOverlaps    bool `json:"verifyOverlaps,omitempty"`
-	// GraphBackend selects the reduce/compress engine ("" or "greedy",
-	// or "spmat" for the sparse-matrix backend); see
-	// core.Config.GraphBackend. Mutually exclusive with FullGraph.
+	// GraphBackend selects the reduce/compress engine ("" or "greedy" for
+	// the paper's greedy graph, or "succinct" for the string graph); see
+	// core.Config.GraphBackend.
 	GraphBackend string `json:"graphBackend,omitempty"`
 	// Priority selects the admission lane: "" or "batch", or
 	// "interactive" for jobs dispatched ahead of every batch job (and

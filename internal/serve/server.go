@@ -182,7 +182,9 @@ func New(cfg Config) (*Server, error) {
 }
 
 // recover reloads every persisted job: terminal records register for
-// listing; submitted/queued/running records re-enter the queue (in
+// listing, as do interrupted ones whose record selects a removed engine,
+// which fail first (see Store.CheckEngine); other submitted/queued/running
+// records re-enter the queue (in
 // original submission order) and resume mid-pipeline via their run
 // manifests — possibly on different devices than the crashed attempt,
 // which is safe because jobs are fingerprinted against the base GPU spec,
@@ -194,7 +196,15 @@ func (s *Server) recover() error {
 	}
 	for _, rec := range recs {
 		j := NewJob(rec)
-		if rec.State.Terminal() {
+		if !rec.State.Terminal() {
+			if err := s.store.CheckEngine(rec.ID); err != nil {
+				s.log.Error("failing recovered job", "job", rec.ID, "err", err)
+				now := time.Now().UTC()
+				j.Update(func(r *Record) { r.State, r.Error, r.FinishedAt = StateFailed, err.Error(), &now })
+				s.onTransition(j)
+			}
+		}
+		if j.Record().State.Terminal() {
 			s.sched.Register(j)
 			continue
 		}
@@ -272,7 +282,6 @@ func (s *Server) jobConfig(rec Record) core.Config {
 	}
 	cfg.MinOverlap = rec.Params.MinOverlap
 	cfg.Workers = rec.Params.Workers
-	cfg.FullGraph = rec.Params.FullGraph
 	cfg.DedupeReads = rec.Params.DedupeReads
 	cfg.IncludeSingletons = rec.Params.IncludeSingletons
 	cfg.VerifyOverlaps = rec.Params.VerifyOverlaps
@@ -565,8 +574,10 @@ func parseParams(r *http.Request) (Params, error) {
 		*dst = b
 		return nil
 	}
+	if q.Has("fullgraph") {
+		return p, fmt.Errorf("fullgraph was removed: use graph-backend=%s", core.BackendSuccinct)
+	}
 	for key, dst := range map[string]*bool{
-		"fullgraph":  &p.FullGraph,
 		"dedupe":     &p.DedupeReads,
 		"singletons": &p.IncludeSingletons,
 		"verify":     &p.VerifyOverlaps,
@@ -576,13 +587,10 @@ func parseParams(r *http.Request) (Params, error) {
 		}
 	}
 	if v := q.Get("graph-backend"); v != "" {
-		if !slices.Contains(core.Backends, v) {
-			return p, fmt.Errorf("invalid graph-backend %q (want one of %v)", v, core.Backends)
+		if _, err := core.ResolveBackend(v); err != nil {
+			return p, err
 		}
 		p.GraphBackend = v
-	}
-	if (p.GraphBackend == core.BackendSpmat || p.GraphBackend == core.BackendSuccinct) && p.FullGraph {
-		return p, fmt.Errorf("graph-backend %q and fullgraph are mutually exclusive", p.GraphBackend)
 	}
 	if v := q.Get("priority"); v != "" {
 		if !slices.Contains(core.Priorities, v) {
@@ -592,8 +600,8 @@ func parseParams(r *http.Request) (Params, error) {
 	}
 	p.Tenant = q.Get("tenant")
 	if p.ShardCount() > 1 {
-		if p.FullGraph || p.DedupeReads || p.VerifyOverlaps {
-			return p, fmt.Errorf("shards > 1 does not support fullgraph, dedupe, or verify")
+		if p.DedupeReads || p.VerifyOverlaps {
+			return p, fmt.Errorf("shards > 1 does not support dedupe or verify")
 		}
 	}
 	return p, nil
@@ -650,10 +658,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			params.ShardCount(), rec.DeviceDemandBytes, fit)
 		return
 	}
-	backend := params.GraphBackend
-	if backend == "" {
-		backend = core.BackendGreedy
-	}
+	backend, _ := core.ResolveBackend(params.GraphBackend) // validated by parseParams
 	if demand := core.GraphHostModel(backend, reads.NumReads(), reads.MaxLen()); demand > s.cfg.HostMemBytes {
 		writeError(w, http.StatusUnprocessableEntity,
 			"job's modeled host footprint %d bytes exceeds the %d-byte budget: backend %q admits at most %d reads of length %d",

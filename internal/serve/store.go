@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"repro/internal/core"
 )
 
 // Store is the job service's on-disk layout, rooted at one data
@@ -111,6 +113,35 @@ func (st *Store) Load(id string) (Record, error) {
 		return Record{}, fmt.Errorf("serve: corrupt record for job %s: %w", id, err)
 	}
 	return rec, nil
+}
+
+// CheckEngine reports why a persisted job cannot run on this server: its
+// record selects a graph engine that was removed. Records written before
+// the removal may carry "fullGraph": true, which the Record decoder
+// drops, or "graphBackend": "spmat"; either must fail the job rather
+// than let it run under another engine.
+func (st *Store) CheckEngine(id string) error {
+	data, err := os.ReadFile(st.recordPath(id))
+	if err != nil {
+		return err
+	}
+	var probe struct {
+		Params struct {
+			FullGraph    bool   `json:"fullGraph"`
+			GraphBackend string `json:"graphBackend"`
+		} `json:"params"`
+	}
+	if err := json.Unmarshal(data, &probe); err != nil {
+		return fmt.Errorf("serve: corrupt record for job %s: %w", id, err)
+	}
+	if probe.Params.FullGraph {
+		return fmt.Errorf("serve: job %s selects fullgraph, which was removed: resubmit with graph-backend=%s",
+			id, core.BackendSuccinct)
+	}
+	if _, err := core.ResolveBackend(probe.Params.GraphBackend); err != nil {
+		return fmt.Errorf("serve: job %s: %w", id, err)
+	}
+	return nil
 }
 
 // List returns every loadable job record, oldest submission first (ties

@@ -6,10 +6,11 @@
 // The paper's pipeline uses the greedy heuristic (one out-edge per
 // vertex, longest overlap wins) because it updates a single bit-vector
 // instead of a general graph; this package provides the textbook
-// alternative the paper's background section describes, wired into the
-// pipeline as core.Config.FullGraph. On clean data both modes spell the
-// same genome; the full graph additionally survives orderings where the
-// greedy rule commits to a repeat-induced edge first.
+// alternative the paper's background section describes. The pipeline's
+// string-graph engine (internal/succinct) stores the same graph
+// compressed and spells contigs with UnitigsOf; the pointer-based Graph
+// here, with its Myers sweep, is the oracle the tests check that engine
+// against.
 package sgraph
 
 import (
@@ -74,16 +75,6 @@ func (g *Graph) addEdge(u, v uint32, l uint16) {
 	g.adj[u] = append(g.adj[u], Edge{To: v, Len: l})
 }
 
-// InstallEdge appends a single directed edge verbatim, without the
-// duplicate-merging or complement bookkeeping of AddOverlap. It exists
-// for rebuilding a reduced graph from a persisted edge list: replaying
-// DirectedEdges() through InstallEdge reproduces the live adjacency
-// structure (and hence Unitigs output) exactly.
-func (g *Graph) InstallEdge(u, v uint32, l uint16) {
-	g.adj[u] = append(g.adj[u], Edge{To: v, Len: l})
-	g.indeg = nil
-}
-
 // DirectedEdges returns every live (non-reduced) directed edge in vertex
 // order, preserving each vertex's adjacency order. After TransitiveReduce
 // the adjacency lists are deterministically sorted, so the returned list
@@ -102,9 +93,9 @@ func (g *Graph) DirectedEdges() []graph.Edge {
 
 // ReducedEdges returns every directed edge TransitiveReduce marked
 // transitive, in vertex order, preserving adjacency order — the
-// complement of DirectedEdges. Alternative reduction backends are
-// cross-checked against it: the spmat SpGEMM pass must remove a superset
-// of these edges (see package spmat).
+// complement of DirectedEdges. The succinct engine's masked reduction is
+// cross-checked against it: it must remove a superset of these edges
+// (see package succinct).
 func (g *Graph) ReducedEdges() []graph.Edge {
 	var out []graph.Edge
 	for u, es := range g.adj {

@@ -151,7 +151,8 @@ func TestUnitigsCycle(t *testing.T) {
 
 // TestFullGraphAssemblesGenome builds the full string graph from exact
 // FM-index overlaps, reduces it, and checks the unitigs spell genome
-// substrings — the end-to-end behaviour core.Config.FullGraph relies on.
+// substrings — the oracle's own end-to-end behaviour, which the succinct
+// engine's differential tests lean on.
 func TestFullGraphAssemblesGenome(t *testing.T) {
 	genome := readsim.Genome(readsim.GenomeParams{Length: 3000, Seed: 41})
 	rs := readsim.Simulate(genome, readsim.ReadParams{ReadLen: 60, Coverage: 12, Seed: 42})

@@ -11,9 +11,8 @@ import (
 )
 
 // ReduceConfig parameterizes the masked transitive-reduction pass over
-// the compressed store. The knobs mirror spmat.ReduceConfig: the same
-// predicate runs over the same tiling, only the storage the kernel
-// reads from is the compressed adjacency stream instead of CSR arrays.
+// the compressed store: the two-hop predicate, the row tiling, and the
+// device residency of the compressed structure.
 type ReduceConfig struct {
 	// Device is the simulated card the pass runs on (required).
 	Device *gpu.Device
@@ -134,12 +133,18 @@ func (v *LiveView) EachOut(u uint32, fn func(to uint32, l uint16) bool) {
 // TransitiveReduce runs the masked A·A pass over the compressed store:
 // for every entry (u, x), if some two-hop chain u->w->x with strictly
 // positive overhangs spells the same placement (overhang sum within
-// Fuzz of the direct edge's), the entry is masked as transitive. The
-// predicate is exactly spmat's, so the surviving edge set — and hence
-// the downstream unitigs and contigs — is byte-identical to the spmat
-// backend's on the same input.
+// Fuzz of the direct edge's), the entry is masked as transitive.
 //
-// Execution is tiled like spmat's: RowBatch rows per superstep through
+// This removes a superset of the edges Myers' sweep (sgraph) removes —
+// the sweep skips witness chains whose first hop was itself eliminated,
+// the masked pass considers every chain of the unreduced graph — while
+// preserving reachability: a masked edge is always spelled by two
+// surviving-or-masked edges with strictly smaller overhangs, so
+// induction on overhang rebuilds every path. The strict-positivity guard
+// is what makes that induction well-founded in the presence of
+// full-length (zero overhang) overlaps between duplicate reads.
+//
+// Execution is tiled: RowBatch rows per superstep through
 // graph.RunSupersteps, with each block decoding its row (and each
 // product's neighbor row) from the compressed stream into registers.
 // Charges are pure functions of the structure, so modeled cost is
@@ -318,8 +323,7 @@ func (g *Graph) TransitiveReduce(ctx context.Context, cfg ReduceConfig) (*Reduct
 		red.Flops += flops
 		// Each product term decodes its neighbor entry and probes the
 		// direct row; each tile entry is read once and its mask bit
-		// written once — the same work in decoded terms as spmat's CSR
-		// kernel, so the charge formula matches.
+		// written once.
 		memBytes := 6*(tileNnz+2*flops) + (tileNnz+7)/8
 		ops := tileNnz + flops
 		cmp.Charge(costmodel.TierDeviceMem, memBytes)

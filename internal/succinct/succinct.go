@@ -68,9 +68,8 @@ func (g *Graph) NumReads() int { return g.n / 2 }
 func (g *Graph) NNZ() int64 { return g.nnz }
 
 // Bytes is the structural size of the compressed store: the adjacency
-// stream plus both offset sequences. It is the device-transfer
-// footprint analogue of spmat's Matrix.Bytes and a pure function of the
-// structure.
+// stream plus both offset sequences. It is the store's device-transfer
+// footprint and a pure function of the structure.
 func (g *Graph) Bytes() int64 {
 	return int64(len(g.adj)) + g.edgeOff.Bytes() + g.byteOff.Bytes()
 }
@@ -253,8 +252,8 @@ func (b *Builder) account() {
 // Push offers the next edge. Records must arrive in non-decreasing
 // (U, V) order; exact duplicates dedupe keeping the longest overlap.
 // Out-of-range, self-loop, zero-length, or order-regressing records are
-// errors — never panics — mirroring spmat.FromEdgeRuns, so a truncated
-// or corrupted edge stream fails loudly.
+// errors — never panics — so a truncated or corrupted edge stream fails
+// loudly.
 func (b *Builder) Push(e Edge) error {
 	if int64(e.U) >= int64(b.n) || int64(e.V) >= int64(b.n) {
 		return fmt.Errorf("succinct: edge (%d->%d) out of range for %d vertices", e.U, e.V, b.n)
@@ -432,8 +431,7 @@ func (b *Builder) Finish() (*Graph, error) {
 
 // FromEdgeRuns builds a Graph from a pull iterator over edges in
 // non-decreasing (U, V) order — the CSR order the pipeline persists
-// edges.kv in and the order SortStream emits. It mirrors
-// spmat.FromEdgeRuns' validation contract: duplicates dedupe keeping
+// edges.kv in and the order SortStream emits. Duplicates dedupe keeping
 // the longest overlap; unordered, out-of-range, zero-length, or
 // self-loop records are errors, never panics.
 func FromEdgeRuns(numVertices int, next func() (Edge, bool, error)) (*Graph, error) {

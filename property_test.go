@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/core"
 	"repro/internal/dna"
 	"repro/internal/readsim"
 )
@@ -82,7 +83,7 @@ func TestPropertyPipelineMatchesBruteForce(t *testing.T) {
 // a contig that is not an exact genome substring, regardless of graph
 // mode, traversal mode, or packing.
 func TestPropertyContigsAlwaysSubstrings(t *testing.T) {
-	f := func(seed int64, fullGraph, packed, bsp, dedupe bool) bool {
+	f := func(seed int64, stringGraph, packed, bsp, dedupe bool) bool {
 		genome := readsim.Genome(readsim.GenomeParams{Length: 1200, Seed: seed})
 		reads := readsim.Simulate(genome, readsim.ReadParams{
 			ReadLen: 40, Coverage: 8, Seed: seed + 1,
@@ -92,10 +93,12 @@ func TestPropertyContigsAlwaysSubstrings(t *testing.T) {
 		cfg.HostBlockPairs = 1 << 12
 		cfg.DeviceBlockPairs = 1 << 9
 		cfg.MapBatchReads = 128
-		cfg.FullGraph = fullGraph
+		if stringGraph {
+			cfg.GraphBackend = core.BackendSuccinct
+		}
 		cfg.PackedReads = packed && !dedupe || packed // packed composes with dedupe
 		cfg.DedupeReads = dedupe
-		cfg.ParallelTraversal = bsp && !fullGraph
+		cfg.ParallelTraversal = bsp && !stringGraph
 		res, err := Assemble(cfg, reads)
 		if err != nil {
 			t.Log(err)
@@ -106,8 +109,8 @@ func TestPropertyContigsAlwaysSubstrings(t *testing.T) {
 		for _, c := range res.Contigs {
 			s := c.String()
 			if !containsStr(gs, s) && !containsStr(grc, s) {
-				t.Logf("seed %d (full=%v packed=%v bsp=%v dedupe=%v): bad contig",
-					seed, fullGraph, packed, bsp, dedupe)
+				t.Logf("seed %d (succinct=%v packed=%v bsp=%v dedupe=%v): bad contig",
+					seed, stringGraph, packed, bsp, dedupe)
 				return false
 			}
 		}

@@ -22,11 +22,14 @@
 //     regression no relative rule on a ~0 baseline can express.
 //
 // Other wall-clock fields (wallS totals, throughput) and edge counts are
-// machine- or load-dependent and are ignored, as are paths present in
-// only one file (new benchmarks don't fail the gate until their baseline
-// is committed). Array elements carrying a string "name" field are keyed
-// by that name rather than their index, so reordering a benchmark table
-// doesn't misalign the comparison.
+// machine- or load-dependent and are ignored. Gated paths present only
+// in the current file are ignored too (new benchmarks don't fail the
+// gate until their baseline is committed), but a gated baseline path
+// missing from the current file fails it: a dropped or renamed row must
+// come with a regenerated baseline rather than pass unchecked. Array
+// elements carrying a string "name" field are keyed by that name rather
+// than their index, so reordering a benchmark table doesn't misalign the
+// comparison.
 package main
 
 import (
@@ -80,19 +83,26 @@ func main() {
 	}
 
 	paths := make([]string, 0, len(base))
+	var missing []string
 	for p := range base {
 		if _, ok := cur[p]; ok {
 			paths = append(paths, p)
+		} else {
+			missing = append(missing, p)
 		}
 	}
 	sort.Strings(paths)
-	if len(paths) == 0 {
+	sort.Strings(missing)
+	if len(paths) == 0 && len(missing) == 0 {
 		fmt.Printf("bench_gate: %s vs %s: no shared gated metrics (nothing to gate)\n",
 			flag.Arg(0), flag.Arg(1))
 		return
 	}
 
-	failed := 0
+	failed := len(missing)
+	for _, p := range missing {
+		fmt.Printf("MISSING %s: gated in %s, absent from %s\n", p, flag.Arg(0), flag.Arg(1))
+	}
 	for _, p := range paths {
 		b, c := base[p].value, cur[p].value
 		switch base[p].class {
@@ -122,8 +132,8 @@ func main() {
 			}
 		}
 	}
-	fmt.Printf("bench_gate: compared %d gated metrics from %s, %d regressed\n",
-		len(paths), flag.Arg(0), failed)
+	fmt.Printf("bench_gate: compared %d gated metrics from %s, %d missing, %d failed\n",
+		len(paths), flag.Arg(0), len(missing), failed)
 	if failed > 0 {
 		os.Exit(1)
 	}
