@@ -370,6 +370,12 @@ func drainRun(ctx context.Context, cfg Config, ioS, cmp *gpu.Stream, path string
 	}
 	defer r.Close()
 	ioS.WaitModeled(cmp.ModeledCursor())
+	// The wait runs on the stream's executor but the reads below charge
+	// from this goroutine: barrier first, so every read is placed after
+	// the wait whatever the scheduling.
+	if err := ioS.Sync(); err != nil {
+		return err
+	}
 	capPairs := clampPairs(cfg.HostBlockPairs, r.Count())
 	if cfg.HostMem != nil {
 		hostBytes := int64(capPairs) * hostPairBytes

@@ -120,3 +120,35 @@ func TestSortFileStreamsMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// A single-run SortStream drains its run on the caller: the drain's
+// disk reads must land after the I/O stream's wait on the compute
+// stream, so the modeled overlap is the same on every run rather than
+// depending on when the stream's executor gets scheduled.
+func TestSortStreamDrainModeledDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	input := randomPairs(rng, 50, 200) // one host block: the drain path
+	var first float64
+	for i := 0; i < 40; i++ {
+		dir := t.TempDir()
+		lg := costmodel.NewOverlapLedger(overlapProfile())
+		cfg := Config{Device: bigDevice(), HostBlockPairs: 64, DeviceBlockPairs: 8,
+			TempDir: dir, Meter: costmodel.NewMeter(), Overlap: lg}
+		in := filepath.Join(dir, "in.kv")
+		writePairs(t, in, input)
+		st, err := SortStream(context.Background(), cfg, in, func([]kv.Pair) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Runs != 1 {
+			t.Fatalf("runs = %d, want 1 (drain path)", st.Runs)
+		}
+		if i == 0 {
+			first = lg.SavedSeconds()
+			continue
+		}
+		if got := lg.SavedSeconds(); got != first {
+			t.Fatalf("run %d: saved %v s, want %v s as on run 0", i, got, first)
+		}
+	}
+}
