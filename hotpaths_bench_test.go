@@ -1,7 +1,8 @@
-// Wall-clock micro-benchmarks for the three real hot loops of the
+// Wall-clock micro-benchmarks for the four real hot loops of the
 // pipeline — the Rabin-Karp fingerprint scan, kvio pair serialization,
-// and the external sort's device chunk sort — plus the BENCH_wall.json
-// emission the bench_gate wall-clock rule consumes.
+// the external sort's device chunk sort, and the string graph's
+// transitive reduction over the succinct store — plus the
+// BENCH_wall.json emission the bench_gate wall-clock rule consumes.
 //
 // Unlike the modeled-seconds benchmarks (BenchmarkTable2 etc.), these
 // measure raw host nanoseconds and allocations per operation: the cost
@@ -20,12 +21,14 @@
 package lasagna
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"testing"
 	"time"
 
@@ -34,6 +37,7 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/kv"
 	"repro/internal/kvio"
+	"repro/internal/succinct"
 )
 
 // Workload shapes for the hot loops. The kvio loop rotates its files
@@ -45,6 +49,7 @@ const (
 	hotBatchPairs  = 1024 // pairs per kvio read/write batch
 	hotFileBatches = 512  // batches written per kvio file rotation
 	hotChunkPairs  = 2048 // m_d-sized device chunk for the sort loop
+	hotGraphReads  = 2000 // reads in the transitive-reduction loop's graph
 )
 
 // wallRow is one hot loop's measurement in BENCH_wall.json. The nsPerOp
@@ -78,6 +83,7 @@ func hotPathLoops() []wallLoop {
 		{"fingerprint_scan", setupFingerprintScan},
 		{"kvio_roundtrip", setupKVIORoundtrip},
 		{"extsort_chunk_sort", setupChunkSort},
+		{"succinct_transitive_reduce", setupTransitiveReduce},
 	}
 }
 
@@ -204,18 +210,83 @@ func setupChunkSort() (func() error, func(), error) {
 	return op, func() {}, nil
 }
 
+// setupTransitiveReduce times one masked transitive-reduction pass over
+// the succinct store, out-of-core and tiled as the pipeline runs it. The
+// graph is a seeded shotgun layout shaped like the scaled H.Genome
+// profile: 100 bp reads starting every ~3 bp (so ~11 overlaps of at
+// least 63 bp per strand, duplicates included), with read IDs shuffled
+// so neighbor rows sit far apart in the store, as they do in real runs.
+func setupTransitiveReduce() (func() error, func(), error) {
+	const readLen, minOverlap = 100, 63
+	rng := rand.New(rand.NewSource(45))
+	pos := make([]int, hotGraphReads)
+	for i := 1; i < len(pos); i++ {
+		pos[i] = pos[i-1] + rng.Intn(7)
+	}
+	id := rng.Perm(hotGraphReads)
+	var edges []succinct.Edge
+	add := func(a, b int, l uint16) {
+		u, v := uint32(2*id[a]), uint32(2*id[b])
+		edges = append(edges,
+			succinct.Edge{U: u, V: v, Len: l},
+			succinct.Edge{U: dna.ComplementVertex(v), V: dna.ComplementVertex(u), Len: l})
+	}
+	for i := range pos {
+		for j := i + 1; j < len(pos) && pos[j]-pos[i] <= readLen-minOverlap; j++ {
+			l := uint16(readLen - (pos[j] - pos[i]))
+			add(i, j, l)
+			if pos[j] == pos[i] {
+				add(j, i, l) // duplicate reads overlap both ways
+			}
+		}
+	}
+	sort.Slice(edges, func(i, j int) bool {
+		if edges[i].U != edges[j].U {
+			return edges[i].U < edges[j].U
+		}
+		return edges[i].V < edges[j].V
+	})
+	k := 0
+	g, err := succinct.FromEdgeRuns(2*hotGraphReads, func() (succinct.Edge, bool, error) {
+		if k == len(edges) {
+			return succinct.Edge{}, false, nil
+		}
+		k++
+		return edges[k-1], true, nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	cfg := succinct.ReduceConfig{
+		Device:           gpu.NewDevice(gpu.K40, nil),
+		VertexLen:        func(uint32) int { return readLen },
+		RowBatch:         512,
+		MaxResidentBytes: g.Bytes() / 2,
+	}
+	op := func() error {
+		_, err := g.TransitiveReduce(context.Background(), cfg)
+		return err
+	}
+	return op, func() {}, nil
+}
+
 // Measurement knobs: each loop warms up (filling buffer pools and
 // caches), then the iteration count grows until one timed run lasts at
 // least measureTarget, so the ns/op resolution is far below the gate's
-// threshold and pool warmup allocations amortize to zero.
+// threshold and pool warmup allocations amortize to zero. The reported
+// figures are the median of wallSamples such runs, so one run slowed
+// by a noisy neighbor does not move the gated number.
 const (
 	wallWarmupOps = 8
+	wallSamples   = 5
 	measureTarget = 200 * time.Millisecond
 	measureMaxOps = 1 << 20
 )
 
-// measureLoop runs one hot loop to a steady-state measurement. minOps
-// lets the smoke test bound the work; pass 0 for the full calibration.
+// measureLoop runs one hot loop to a steady-state measurement: the
+// median of wallSamples timed runs of a calibrated length. minOps lets
+// the smoke test bound the work to one run of minOps operations; pass 0
+// for the full calibration.
 func measureLoop(l wallLoop, minOps int) (wallRow, error) {
 	op, cleanup, err := l.setup()
 	if err != nil {
@@ -227,38 +298,66 @@ func measureLoop(l wallLoop, minOps int) (wallRow, error) {
 			return wallRow{}, fmt.Errorf("%s: warmup: %w", l.name, err)
 		}
 	}
-	n := 64
-	if minOps > 0 {
-		n = minOps
-	}
-	var ms0, ms1 runtime.MemStats
-	for {
+	// run times n operations.
+	run := func(n int) (wallRow, time.Duration, error) {
+		var ms0, ms1 runtime.MemStats
 		runtime.ReadMemStats(&ms0)
 		start := time.Now()
 		for i := 0; i < n; i++ {
 			if err := op(); err != nil {
-				return wallRow{}, fmt.Errorf("%s: op: %w", l.name, err)
+				return wallRow{}, 0, fmt.Errorf("%s: op: %w", l.name, err)
 			}
 		}
 		elapsed := time.Since(start)
 		runtime.ReadMemStats(&ms1)
-		if minOps > 0 || elapsed >= measureTarget || n >= measureMaxOps {
-			return wallRow{
-				Name:        l.name,
-				NsPerOp:     float64(elapsed.Nanoseconds()) / float64(n),
-				AllocsPerOp: float64(ms1.Mallocs-ms0.Mallocs) / float64(n),
-				BytesPerOp:  float64(ms1.TotalAlloc-ms0.TotalAlloc) / float64(n),
-			}, nil
+		return wallRow{
+			Name:        l.name,
+			NsPerOp:     float64(elapsed.Nanoseconds()) / float64(n),
+			AllocsPerOp: float64(ms1.Mallocs-ms0.Mallocs) / float64(n),
+			BytesPerOp:  float64(ms1.TotalAlloc-ms0.TotalAlloc) / float64(n),
+		}, elapsed, nil
+	}
+	if minOps > 0 {
+		row, _, err := run(minOps)
+		return row, err
+	}
+	// Calibrate: grow toward the target in a few steps.
+	n := 1
+	for {
+		_, elapsed, err := run(n)
+		if err != nil {
+			return wallRow{}, err
 		}
-		// Grow toward the target in a few steps.
-		grow := int(float64(n) * float64(measureTarget) / float64(elapsed+1) * 1.2)
-		if grow < 2*n {
-			grow = 2 * n
+		if elapsed >= measureTarget || n >= measureMaxOps {
+			break
 		}
-		if grow > measureMaxOps {
-			grow = measureMaxOps
+		n = min(max(int(float64(n)*float64(measureTarget)/float64(elapsed+1)*1.2), 2*n), measureMaxOps)
+	}
+	rows := make([]wallRow, wallSamples)
+	for i := range rows {
+		if rows[i], _, err = run(n); err != nil {
+			return wallRow{}, err
 		}
-		n = grow
+	}
+	return medianRow(rows), nil
+}
+
+// medianRow returns the per-field median of rows (an odd number of
+// measurements of one loop).
+func medianRow(rows []wallRow) wallRow {
+	median := func(field func(wallRow) float64) float64 {
+		xs := make([]float64, len(rows))
+		for i, r := range rows {
+			xs[i] = field(r)
+		}
+		sort.Float64s(xs)
+		return xs[len(xs)/2]
+	}
+	return wallRow{
+		Name:        rows[0].Name,
+		NsPerOp:     median(func(r wallRow) float64 { return r.NsPerOp }),
+		AllocsPerOp: median(func(r wallRow) float64 { return r.AllocsPerOp }),
+		BytesPerOp:  median(func(r wallRow) float64 { return r.BytesPerOp }),
 	}
 }
 

@@ -10,8 +10,10 @@ import (
 // quasi-succinct indices). Each value is split into l = log2(u/n) low
 // bits, stored verbatim in a packed array, and a high part coded in
 // unary in a bitvector of n + (u >> l) + 1 bits. Total space is about
-// n*(2 + log2(u/n)) bits — far below the 64n of a plain offset array —
-// while Get stays O(1) via the rank/select directory on the high bits.
+// n*(2 + log2(u/n)) bits — far below the 64n of a plain offset array.
+// Get costs one Select1 on the high bits (a search of the rank
+// directory's superblock counts, then an in-word select); a Cursor reads
+// consecutive values with one select and then a forward scan.
 //
 // The succinct graph store uses two of these: one for per-vertex edge
 // offsets (rowPtr) and one for per-vertex byte offsets into the
@@ -109,6 +111,12 @@ func (ef *EliasFano) Get(i int) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
+	return ef.value(i, p), nil
+}
+
+// value assembles the i-th value from the position p of its one in the
+// high bits and its packed low bits.
+func (ef *EliasFano) value(i, p int) uint64 {
 	v := uint64(p-i) << ef.l
 	if ef.l > 0 {
 		pos := uint(i) * ef.l
@@ -119,6 +127,75 @@ func (ef *EliasFano) Get(i int) (uint64, error) {
 		}
 		v |= lowVal & ((1 << ef.l) - 1)
 	}
+	return v
+}
+
+// GetPair returns the i-th and (i+1)-th values with a single select: the
+// second value's one is the next set bit after the first's.
+func (ef *EliasFano) GetPair(i int) (uint64, uint64, error) {
+	if i < 0 || i+1 >= ef.n {
+		return 0, 0, fmt.Errorf("bitvec: eliasfano pair index %d out of range [0, %d)", i, ef.n-1)
+	}
+	c, err := ef.Cursor(i)
+	if err != nil {
+		return 0, 0, err
+	}
+	a, err := c.Next()
+	if err != nil {
+		return 0, 0, err
+	}
+	b, err := c.Next()
+	if err != nil {
+		return 0, 0, err
+	}
+	return a, b, nil
+}
+
+// Cursor reads an EliasFano sequence front to back from some index: one
+// select positions it, and each Next then finds the following one in the
+// high bits by a forward word scan. A zero Cursor is exhausted.
+type Cursor struct {
+	ef   *EliasFano
+	i    int    // index of the value Next returns
+	w    int    // high-bits word holding that value's one
+	word uint64 // word w with the ones of values before i cleared
+}
+
+// Cursor returns a cursor whose first Next yields the i-th value. i may
+// equal Len(), giving an exhausted cursor.
+func (ef *EliasFano) Cursor(i int) (Cursor, error) {
+	if i < 0 || i > ef.n {
+		return Cursor{}, fmt.Errorf("bitvec: eliasfano cursor index %d out of range [0, %d]", i, ef.n)
+	}
+	if i == ef.n {
+		return Cursor{ef: ef, i: i}, nil
+	}
+	p, err := ef.rank.Select1(i)
+	if err != nil {
+		return Cursor{}, err
+	}
+	w := p >> 6
+	return Cursor{ef: ef, i: i, w: w, word: ef.high.words[w] &^ (1<<uint(p&63) - 1)}, nil
+}
+
+// Next returns the cursor's value and advances it. Reading past the end
+// of the sequence is an error.
+func (c *Cursor) Next() (uint64, error) {
+	ef := c.ef
+	if ef == nil || c.i >= ef.n {
+		return 0, fmt.Errorf("bitvec: eliasfano cursor exhausted")
+	}
+	for c.word == 0 {
+		c.w++
+		if c.w >= len(ef.high.words) {
+			return 0, fmt.Errorf("bitvec: eliasfano high bits end before value %d", c.i)
+		}
+		c.word = ef.high.words[c.w]
+	}
+	p := c.w<<6 + bits.TrailingZeros64(c.word)
+	c.word &= c.word - 1
+	v := ef.value(c.i, p)
+	c.i++
 	return v, nil
 }
 

@@ -11,7 +11,8 @@ import (
 // superblock the index stores the absolute number of set bits before
 // it, plus seven 9-bit relative counts (one per interior word) packed
 // into a single uint64. Space overhead is 2 words per 8 payload words
-// (25%), and both Rank1 and Select1 touch O(1) superblocks.
+// (25%). Rank1 touches one superblock; Select1 searches the superblock
+// counts (see Select1), then touches one superblock and one word.
 //
 // The index is a snapshot: mutating the underlying Vector after
 // NewRankIndex invalidates it.
@@ -79,22 +80,17 @@ func (r *RankIndex) Rank1(i int) (int, error) {
 }
 
 // Select1 returns the position of the k-th set bit (0-based), i.e. the
-// smallest p with Rank1(p+1) == k+1.
+// smallest p with Rank1(p+1) == k+1. It locates the superblock by a
+// galloping search of the superblock counts that starts at the one
+// interpolation predicts (O(1) probes when the set bits are spread
+// evenly, as in Elias–Fano high bits; O(log(n/512)) at worst), scans
+// that superblock's seven packed word counts, and finishes with a
+// branch-free in-word select.
 func (r *RankIndex) Select1(k int) (int, error) {
 	if k < 0 || k >= r.ones {
 		return 0, fmt.Errorf("bitvec: select index %d out of range [0, %d)", k, r.ones)
 	}
-	// Binary search for the superblock holding the k-th one.
-	lo, hi := 0, len(r.abs)-1
-	for lo+1 < hi {
-		mid := (lo + hi) / 2
-		if r.abs[mid] <= uint64(k) {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	sb := lo
+	sb := r.superblockOf(uint64(k))
 	rem := uint64(k) - r.abs[sb]
 	// Scan the packed relative counts for the word.
 	j := 0
@@ -103,25 +99,72 @@ func (r *RankIndex) Select1(k int) (int, error) {
 	}
 	rem -= r.relCount(sb, j)
 	w := sb*8 + j
-	word := r.v.words[w]
-	// Select within the word, byte by byte.
-	base := w << 6
-	for b := 0; b < 8; b++ {
-		c := bits.OnesCount8(uint8(word >> (8 * b)))
-		if uint64(c) > rem {
-			byteVal := uint8(word >> (8 * b))
-			for bit := 0; bit < 8; bit++ {
-				if byteVal&(1<<bit) != 0 {
-					if rem == 0 {
-						return base + 8*b + bit, nil
-					}
-					rem--
-				}
-			}
-		}
-		rem -= uint64(c)
+	if w >= len(r.v.words) || rem >= uint64(bits.OnesCount64(r.v.words[w])) {
+		return 0, fmt.Errorf("bitvec: select directory corrupt at bit %d", k)
 	}
-	return 0, fmt.Errorf("bitvec: select directory corrupt at bit %d", k)
+	return w<<6 + selectInWord(r.v.words[w], uint(rem)), nil
+}
+
+// superblockOf returns the superblock holding the k-th set bit, the last
+// sb with abs[sb] <= k, for k < Ones().
+func (r *RankIndex) superblockOf(k uint64) int {
+	nsb := len(r.abs) - 1 // abs[nsb] is the total, which exceeds k
+	guess := int(k * uint64(nsb) / uint64(r.ones))
+	// Gallop away from the guess until [lo, hi) brackets the answer:
+	// abs[lo] <= k < abs[hi].
+	var lo, hi int
+	if r.abs[guess] <= k {
+		lo, hi = guess, guess+1
+		for step := 1; hi < nsb && r.abs[hi] <= k; step <<= 1 {
+			lo, hi = hi, hi+step
+		}
+		hi = min(hi, nsb)
+	} else {
+		lo, hi = guess-1, guess
+		for step := 1; lo > 0 && r.abs[lo] > k; step <<= 1 {
+			lo, hi = lo-step, lo
+		}
+		lo = max(lo, 0)
+	}
+	for lo+1 < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if r.abs[mid] <= k {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// Broadword constants: the low and the high bit of every byte.
+const (
+	bytesL8 = 0x0101010101010101
+	bytesH8 = 0x8080808080808080
+)
+
+// selectInWord returns the bit position of the rank-th (0-based) set bit
+// of w; the caller guarantees rank < popcount(w). Byte popcounts are
+// summed into cumulative per-byte counts with one multiply, the target
+// byte is found by a parallel compare against rank (Vigna, "Broadword
+// Implementation of Rank/Select Queries", §5), and the byte is finished
+// by clearing its lowest set bits.
+func selectInWord(w uint64, rank uint) int {
+	s := w - (w>>1)&0x5555555555555555
+	s = s&0x3333333333333333 + (s>>2)&0x3333333333333333
+	s = (s + s>>4) & 0x0f0f0f0f0f0f0f0f
+	s *= bytesL8 // byte i holds the set bits in bytes 0..i (at most 64)
+	// Byte i's high bit is set when rank >= that cumulative count; the
+	// counts never decrease, so these bytes form a prefix whose length is
+	// the index of the byte holding the target bit.
+	le := ((uint64(rank)*bytesL8 | bytesH8) - s) & bytesH8
+	place := uint(bits.OnesCount64(le)) * 8
+	rank -= uint((s << 8 >> place) & 0xff)
+	b := uint8(w >> place)
+	for ; rank > 0; rank-- {
+		b &= b - 1
+	}
+	return int(place) + bits.TrailingZeros8(b)
 }
 
 // Bytes returns the in-memory size of the directory (excluding the

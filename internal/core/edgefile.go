@@ -35,16 +35,21 @@ func edgeFromPair(p kv.Pair) persistedEdge {
 }
 
 // writeEdgeFile streams edges to path in the order produced by next (which
-// returns false when exhausted). The order is preserved on reload, so any
-// insertion-order-sensitive graph construction survives a round trip.
-func writeEdgeFile(path string, meter *costmodel.Meter, next func() (persistedEdge, bool)) (int64, error) {
+// returns false when exhausted, or an error that aborts the write). The
+// order is preserved on reload, so any insertion-order-sensitive graph
+// construction survives a round trip.
+func writeEdgeFile(path string, meter *costmodel.Meter, next func() (persistedEdge, bool, error)) (int64, error) {
 	w, err := kvio.NewWriter(path, meter)
 	if err != nil {
 		return 0, err
 	}
 	var n int64
 	for {
-		e, ok := next()
+		e, ok, err := next()
+		if err != nil {
+			w.Close()
+			return n, err
+		}
 		if !ok {
 			break
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -64,5 +65,28 @@ func TestResultPhaseByNameMissing(t *testing.T) {
 	res := &Result{}
 	if _, ok := res.PhaseByName(PhaseSort); ok {
 		t.Error("empty result should have no phases")
+	}
+}
+
+// TestWriteEdgeFileStopsOnIteratorError pins that a failing edge source
+// (the succinct store's LiveEdges on a corrupt stream) fails the edges.kv
+// write with its own error instead of leaving a silently truncated file
+// that Compress would accept.
+func TestWriteEdgeFileStopsOnIteratorError(t *testing.T) {
+	bad := errors.New("corrupt adjacency stream")
+	i := 0
+	n, err := writeEdgeFile(filepath.Join(t.TempDir(), edgeFileName), nil,
+		func() (persistedEdge, bool, error) {
+			if i == 3 {
+				return persistedEdge{}, false, bad
+			}
+			i++
+			return persistedEdge{U: uint32(i), V: uint32(i + 1), Len: 50}, true, nil
+		})
+	if !errors.Is(err, bad) {
+		t.Fatalf("writeEdgeFile err = %v, want the iterator's error", err)
+	}
+	if n != 3 {
+		t.Errorf("wrote %d edges before the error, want 3", n)
 	}
 }

@@ -680,13 +680,13 @@ func (p *Pipeline) reducePhase(ctx context.Context, rs dna.ReadSource, partDir s
 	p.cfg.Obs.Metrics().Counter(`graph.nnz{backend="greedy"}`).Add(res.AcceptedEdges)
 	edges := g.Edges()
 	i := 0
-	_, err = writeEdgeFile(edgePath, p.meter, func() (persistedEdge, bool) {
+	_, err = writeEdgeFile(edgePath, p.meter, func() (persistedEdge, bool, error) {
 		if i >= len(edges) {
-			return persistedEdge{}, false
+			return persistedEdge{}, false, nil
 		}
 		e := edges[i]
 		i++
-		return persistedEdge{U: e.U, V: e.V, Len: e.Len}, true
+		return persistedEdge{U: e.U, V: e.V, Len: e.Len}, true, nil
 	})
 	return err
 }
@@ -719,9 +719,9 @@ func (p *Pipeline) reduceSuccinct(ctx context.Context, rs dna.ReadSource, partDi
 	res.ReducedEdges = red.Removed
 	res.AcceptedEdges = red.Graph().NNZ() - red.Removed
 	next := red.LiveEdges()
-	_, err = writeEdgeFile(edgePath, p.meter, func() (persistedEdge, bool) {
-		e, ok := next()
-		return persistedEdge{U: e.U, V: e.V, Len: e.Len}, ok
+	_, err = writeEdgeFile(edgePath, p.meter, func() (persistedEdge, bool, error) {
+		e, ok, err := next()
+		return persistedEdge{U: e.U, V: e.V, Len: e.Len}, ok, err
 	})
 	return err
 }

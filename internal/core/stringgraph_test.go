@@ -43,7 +43,9 @@ func reduceOverlaps(t *testing.T, numReads int, ovs [][3]int) ([]succinct.Edge, 
 		t.Fatal(err)
 	}
 	var edges []succinct.Edge
-	red.Graph().Edges(func(e succinct.Edge) { edges = append(edges, e) })
+	if err := red.Graph().Edges(func(e succinct.Edge) { edges = append(edges, e) }); err != nil {
+		t.Fatal(err)
+	}
 	return edges, red, &mem
 }
 

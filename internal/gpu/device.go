@@ -83,6 +83,10 @@ func (d *Device) SetHooks(h Hooks) { d.hooks = h }
 // Spec returns the modeled card.
 func (d *Device) Spec() Spec { return d.spec }
 
+// Workers returns the number of host goroutines LaunchBlocks runs blocks
+// on: a kernel that launches this many blocks gets one per worker.
+func (d *Device) Workers() int { return d.workers }
+
 // Meter returns the cost meter this device feeds.
 func (d *Device) Meter() *costmodel.Meter { return d.meter }
 

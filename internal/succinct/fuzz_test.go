@@ -74,7 +74,7 @@ func FuzzSuccinctFromEdgeRuns(f *testing.F) {
 			}
 			return
 		}
-		got1, got2 := collect(g1), collect(g2)
+		got1, got2 := collect(t, g1), collect(t, g2)
 		if len(got1) != len(got2) {
 			t.Fatalf("nondeterministic edge count: %d vs %d", len(got1), len(got2))
 		}
@@ -124,7 +124,7 @@ func FuzzSuccinctFromEdgeRuns(f *testing.F) {
 		if err != nil {
 			t.Fatalf("round trip errored: %v", err)
 		}
-		got3 := collect(g3)
+		got3 := collect(t, g3)
 		if len(got3) != len(got1) {
 			t.Fatalf("round trip changed edge count: %d vs %d", len(got3), len(got1))
 		}

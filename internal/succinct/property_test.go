@@ -61,11 +61,15 @@ func buildOverlaps(t *testing.T, numReads int, ovs []overlap) *Graph {
 }
 
 // liveEdges drains a reduction's LiveEdges iterator.
-func liveEdges(r *Reduction) []Edge {
+func liveEdges(t *testing.T, r *Reduction) []Edge {
+	t.Helper()
 	var out []Edge
 	next := r.LiveEdges()
 	for {
-		e, ok := next()
+		e, ok, err := next()
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !ok {
 			return out
 		}
@@ -160,7 +164,7 @@ func TestReducePreservesReachability(t *testing.T) {
 			VertexLen: lenFn(vertexLen), Fuzz: fuzz, RowBatch: 1 + rng.Intn(16),
 		})
 		n := g.NumVertices()
-		before, after := closure(n, collect(g)), closure(n, liveEdges(red))
+		before, after := closure(n, collect(t, g)), closure(n, liveEdges(t, red))
 		for i := range before {
 			if before[i] != after[i] {
 				t.Fatalf("trial %d (fuzz %d): reachability %d->%d changed (%v -> %v), removed %d/%d",
@@ -198,7 +202,7 @@ func TestReduceRemovesSupersetOfSgraph(t *testing.T) {
 			sawStrict = true
 		}
 		liveSet := make(map[[2]uint32]bool)
-		for _, e := range liveEdges(red) {
+		for _, e := range liveEdges(t, red) {
 			liveSet[[2]uint32{e.U, e.V}] = true
 		}
 		for _, e := range sg.ReducedEdges() {
@@ -234,7 +238,7 @@ func TestReduceAgreesWithSgraphOnChains(t *testing.T) {
 		t.Fatalf("removed: succinct %d != sgraph %d", red.Removed, sgRemoved)
 	}
 	liveSet := make(map[[2]uint32]uint16)
-	for _, e := range liveEdges(red) {
+	for _, e := range liveEdges(t, red) {
 		liveSet[[2]uint32{e.U, e.V}] = e.Len
 	}
 	sgLive := sg.DirectedEdges()
@@ -260,7 +264,7 @@ func TestTransitiveReduceTriangleMatchesSgraph(t *testing.T) {
 	if red.Removed != 2 {
 		t.Fatalf("removed = %d, want 2 (a->c and complement)", red.Removed)
 	}
-	for _, e := range liveEdges(red) {
+	for _, e := range liveEdges(t, red) {
 		if e.U == 0 && e.V == 4 {
 			t.Error("transitive edge a->c survived")
 		}
@@ -281,19 +285,21 @@ func TestTransitiveReduceFuzzMatchesSgraph(t *testing.T) {
 func TestLiveEdgesMatchesLive(t *testing.T) {
 	red := reduceAll(t, triangle(t, 60), ReduceConfig{VertexLen: lenFn(100)})
 	var viaLive []Edge
-	red.Live(func(e Edge) { viaLive = append(viaLive, e) })
-	if viaIter := liveEdges(red); !reflect.DeepEqual(viaLive, viaIter) {
+	if err := red.Live(func(e Edge) { viaLive = append(viaLive, e) }); err != nil {
+		t.Fatal(err)
+	}
+	if viaIter := liveEdges(t, red); !reflect.DeepEqual(viaLive, viaIter) {
 		t.Errorf("Live %v != LiveEdges %v", viaLive, viaIter)
 	}
 }
 
 func TestFromEdgeRunsRoundTrip(t *testing.T) {
 	g := buildOverlaps(t, 4, []overlap{{0, 2, 50}, {2, 4, 60}, {4, 6, 30}})
-	g2, err := FromEdgeRuns(g.NumVertices(), sliceIter(collect(g)))
+	g2, err := FromEdgeRuns(g.NumVertices(), sliceIter(collect(t, g)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(collect(g), collect(g2)) {
+	if !reflect.DeepEqual(collect(t, g), collect(t, g2)) {
 		t.Errorf("round trip changed the store")
 	}
 }

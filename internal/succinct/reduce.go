@@ -3,7 +3,8 @@ package succinct
 import (
 	"context"
 	"fmt"
-	"sort"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/costmodel"
 	"repro/internal/gpu"
@@ -49,52 +50,56 @@ type Reduction struct {
 // Graph returns the underlying compressed store.
 func (r *Reduction) Graph() *Graph { return r.g }
 
-// Live streams the surviving (non-masked) edges in CSR order.
-func (r *Reduction) Live(fn func(Edge)) {
-	i := int64(0)
-	r.g.Edges(func(e Edge) {
-		if !r.removed[i] {
-			fn(e)
+// Live streams the surviving (non-masked) edges in CSR order, returning
+// the first decode error after streaming the edges before it.
+func (r *Reduction) Live(fn func(Edge)) error {
+	next := r.LiveEdges()
+	for {
+		e, ok, err := next()
+		if err != nil || !ok {
+			return err
 		}
-		i++
-	})
+		fn(e)
+	}
 }
 
 // LiveEdges returns a pull-style iterator over the surviving edges in
-// CSR order, the shape writeEdgeFile consumes.
-func (r *Reduction) LiveEdges() func() (Edge, bool) {
-	var cols []uint32
-	var vals []uint16
-	u := uint32(0)
-	base := int64(0)
-	i := 0
-	loaded := false
-	return func() (Edge, bool) {
-		for int(u) < r.g.n {
-			if !loaded {
-				cols, vals = cols[:0], vals[:0]
-				var err error
-				cols, vals, err = r.g.DecodeRow(u, cols, vals)
-				if err != nil {
-					return Edge{}, false
+// CSR order, the shape writeEdgeFile consumes. It walks the store front
+// to back with one row cursor, so only the first row costs a select. A
+// decode error ends the iteration and is returned by that call and
+// every later one.
+func (r *Reduction) LiveEdges() func() (Edge, bool, error) {
+	g := r.g
+	var rc rowCursor
+	var err error
+	if g.n > 0 {
+		rc, err = g.rowsFrom(0)
+	}
+	var d rowDecoder
+	var k int64 // store index of d's next entry
+	return func() (Edge, bool, error) {
+		for err == nil {
+			if d.left > 0 {
+				var v uint32
+				var l uint16
+				if v, l, err = d.next(); err != nil {
+					break
 				}
-				i = 0
-				loaded = true
-			}
-			if i >= len(cols) {
-				base += int64(len(cols))
-				u++
-				loaded = false
+				k++
+				if !r.removed[k-1] {
+					return Edge{U: d.u, V: v, Len: l}, true, nil
+				}
 				continue
 			}
-			k := i
-			i++
-			if r.removed[base+int64(k)] {
-				continue
+			if err = d.done(); err != nil {
+				break
 			}
-			return Edge{U: u, V: cols[k], Len: vals[k]}, true
+			if int(rc.u) == g.n {
+				return Edge{}, false, nil
+			}
+			k, d, err = rc.next()
 		}
-		return Edge{}, false
+		return Edge{}, false, err
 	}
 }
 
@@ -113,21 +118,22 @@ func (v *LiveView) NumReads() int { return v.r.g.NumReads() }
 // NumVertices implements sgraph.Traversable.
 func (v *LiveView) NumVertices() int { return v.r.g.NumVertices() }
 
-// EachOut visits the live out-edges of u in ascending target order.
+// EachOut visits the live out-edges of u in ascending target order,
+// decoding in place. Like Graph.EachOut, a decode error ends the visit.
 func (v *LiveView) EachOut(u uint32, fn func(to uint32, l uint16) bool) {
-	base, err := v.r.g.EdgeBase(u)
+	k, d, err := v.r.g.row(u)
 	if err != nil {
 		return
 	}
-	i := int64(0)
-	v.r.g.EachOut(u, func(to uint32, l uint16) bool {
-		k := base + i
-		i++
-		if v.r.removed[k] {
-			return true
+	for ; d.left > 0; k++ {
+		to, l, err := d.next()
+		if err != nil {
+			return
 		}
-		return fn(to, l)
-	})
+		if !v.r.removed[k] && !fn(to, l) {
+			return
+		}
+	}
 }
 
 // TransitiveReduce runs the masked A·A pass over the compressed store:
@@ -145,11 +151,18 @@ func (v *LiveView) EachOut(u uint32, fn func(to uint32, l uint16) bool) {
 // full-length (zero overhang) overlaps between duplicate reads.
 //
 // Execution is tiled: RowBatch rows per superstep through
-// graph.RunSupersteps, with each block decoding its row (and each
-// product's neighbor row) from the compressed stream into registers.
-// Charges are pure functions of the structure, so modeled cost is
-// deterministic; the H2D traffic is the compressed bytes, which is
-// where the representation's bandwidth win shows up.
+// graph.RunSupersteps. Each tile's kernel launches one block per device
+// worker; a block claims chunks of consecutive rows, walks them with one
+// row cursor (a select per chunk, then forward scans), and for every
+// product term u->w->x merge-probes w's row against u's (galloping
+// forward through u's ascending columns) instead of searching u's row
+// per term. Decode scratch is per block, so per worker, and sized by the
+// largest degree. The structure every charge derives from — each tile's
+// entry count, byte span and product-term count — is computed once, in
+// parallel, before the first superstep. Charges are pure functions of
+// that structure, so modeled cost is deterministic; the H2D traffic is
+// the compressed bytes, which is where the representation's bandwidth
+// win shows up. A decode error (a corrupt store) fails the pass.
 func (g *Graph) TransitiveReduce(ctx context.Context, cfg ReduceConfig) (*Reduction, error) {
 	if cfg.Device == nil {
 		return nil, fmt.Errorf("succinct: ReduceConfig.Device is required")
@@ -183,6 +196,14 @@ func (g *Graph) TransitiveReduce(ctx context.Context, cfg ReduceConfig) (*Reduct
 	}
 	defer alloc.Free()
 
+	numTiles := (g.n + rowBatch - 1) / rowBatch
+	red.Tiles = numTiles
+	workers := max(dev.Workers(), 1)
+	shapes, err := g.tileShapes(rowBatch, numTiles, workers)
+	if err != nil {
+		return nil, err
+	}
+
 	tl := cfg.Overlap.NewTimeline()
 	defer tl.Commit()
 	streams := tl != nil
@@ -194,8 +215,6 @@ func (g *Graph) TransitiveReduce(ctx context.Context, cfg ReduceConfig) (*Reduct
 	// Upfront upload of the resident portion.
 	ioS.CopyToDeviceAsync(residentMat)
 
-	numTiles := (g.n + rowBatch - 1) / rowBatch
-	red.Tiles = numTiles
 	// bytesPerEdge is the amortized compressed cost of one entry, used
 	// to price neighbor-row reads in the out-of-core transfer model.
 	bytesPerEdge := int64(1)
@@ -204,37 +223,6 @@ func (g *Graph) TransitiveReduce(ctx context.Context, cfg ReduceConfig) (*Reduct
 			bytesPerEdge = bpe
 		}
 	}
-	edgeBase := func(u int) int64 {
-		v, err := g.EdgeBase(uint32(u))
-		if err != nil {
-			return 0
-		}
-		return v
-	}
-	// tileTraffic returns the tile's nz count and product-term count —
-	// the structural quantities every charge derives from.
-	var scratchCols []uint32
-	var scratchVals []uint16
-	tileTraffic := func(t int) (tileNnz, flops int64) {
-		lo, hi := t*rowBatch, min((t+1)*rowBatch, g.n)
-		tileNnz = edgeBase(hi) - edgeBase(lo)
-		for u := lo; u < hi; u++ {
-			scratchCols, scratchVals = scratchCols[:0], scratchVals[:0]
-			var err error
-			scratchCols, scratchVals, err = g.DecodeRow(uint32(u), scratchCols, scratchVals)
-			if err != nil {
-				return tileNnz, flops
-			}
-			for _, w := range scratchCols {
-				d, err := g.Degree(w)
-				if err != nil {
-					return tileNnz, flops
-				}
-				flops += d
-			}
-		}
-		return tileNnz, flops
-	}
 	// h2d is the out-of-core transfer a tile needs: its own compressed
 	// rows plus every neighbor row its products decode, priced at the
 	// amortized compressed bytes per entry. Zero when fully resident.
@@ -242,20 +230,23 @@ func (g *Graph) TransitiveReduce(ctx context.Context, cfg ReduceConfig) (*Reduct
 		if residentMat >= matBytes {
 			return 0
 		}
-		lo, hi := t*rowBatch, min((t+1)*rowBatch, g.n)
-		rowBytes := int64(0)
-		if bLo, err := g.byteOff.Get(lo); err == nil {
-			if bHi, err := g.byteOff.Get(hi); err == nil {
-				rowBytes = int64(bHi - bLo)
-			}
-		}
-		_, flops := tileTraffic(t)
-		return 2*int64(rowBatch+1) + rowBytes + bytesPerEdge*flops
+		return 2*int64(rowBatch+1) + shapes[t].bytes + bytesPerEdge*shapes[t].flops
 	}
 	if numTiles > 0 {
 		ioS.CopyToDeviceAsync(h2d(0))
 	}
 
+	probe := probeConfig{vertexLen: cfg.VertexLen, fuzz: cfg.Fuzz, removed: red.removed}
+	// One decode buffer per worker, sized once for the longest row.
+	var maxDeg int64
+	for _, sh := range shapes {
+		maxDeg = max(maxDeg, sh.maxDeg)
+	}
+	scratch := make([]reduceScratch, workers)
+	for i := range scratch {
+		scratch[i].cols = make([]uint32, 0, maxDeg)
+		scratch[i].vals = make([]uint16, 0, maxDeg)
+	}
 	var stepErr error
 	graph.RunSupersteps(dev, numTiles, func(t int) (int64, int64) {
 		if stepErr != nil {
@@ -277,61 +268,37 @@ func (g *Graph) TransitiveReduce(ctx context.Context, cfg ReduceConfig) (*Reduct
 		}
 
 		lo, hi := t*rowBatch, min((t+1)*rowBatch, g.n)
-		dev.LaunchBlocks(hi-lo, func(block int) {
-			u := uint32(lo + block)
-			// Per-block decode scratch: blocks run concurrently, so no
-			// shared buffers.
-			cols, vals, err := g.DecodeRow(u, nil, nil)
-			if err != nil || len(cols) == 0 {
-				return
-			}
-			base := edgeBase(int(u))
-			lenU := cfg.VertexLen(u)
-			var wCols []uint32
-			var wVals []uint16
-			for i := range cols {
-				w := cols[i]
-				o1 := lenU - int(vals[i])
-				if o1 <= 0 {
-					continue
-				}
-				lenW := cfg.VertexLen(w)
-				wCols, wVals = wCols[:0], wVals[:0]
-				wCols, wVals, err = g.DecodeRow(w, wCols, wVals)
-				if err != nil {
+		var nextChunk atomic.Int64
+		dev.LaunchBlocks(workers, func(block int) {
+			sc := &scratch[block]
+			for sc.err == nil {
+				c := lo + int(nextChunk.Add(kernelChunkRows)) - kernelChunkRows
+				if c >= hi {
 					return
 				}
-				for j := range wCols {
-					o2 := lenW - int(wVals[j])
-					if o2 <= 0 {
-						continue
-					}
-					x := wCols[j]
-					k := sort.Search(len(cols), func(p int) bool { return cols[p] >= x })
-					if k >= len(cols) || cols[k] != x {
-						continue
-					}
-					total := o1 + o2
-					if d := lenU - int(vals[k]); total >= d-cfg.Fuzz && total <= d+cfg.Fuzz {
-						red.removed[base+int64(k)] = true // row-local: block owns row u
-					}
-				}
+				sc.err = g.reduceRows(c, min(c+kernelChunkRows, hi), probe, sc)
 			}
 		})
+		for i := range scratch {
+			if err := scratch[i].err; err != nil {
+				stepErr = fmt.Errorf("succinct: transitive reduction: %w", err)
+				return 0, 0
+			}
+		}
 
-		tileNnz, flops := tileTraffic(t)
-		red.Flops += flops
+		sh := shapes[t]
+		red.Flops += sh.flops
 		// Each product term decodes its neighbor entry and probes the
 		// direct row; each tile entry is read once and its mask bit
 		// written once.
-		memBytes := 6*(tileNnz+2*flops) + (tileNnz+7)/8
-		ops := tileNnz + flops
+		memBytes := 6*(sh.nnz+2*sh.flops) + (sh.nnz+7)/8
+		ops := sh.nnz + sh.flops
 		cmp.Charge(costmodel.TierDeviceMem, memBytes)
 		cmp.Charge(costmodel.TierDeviceOps, ops)
 		// Mask download rides the io stream, ordered after this tile's
 		// compute by an enqueued modeled wait.
 		ioS.WaitModeled(cmp.ModeledCursor())
-		ioS.CopyFromDeviceAsync((tileNnz + 7) / 8)
+		ioS.CopyFromDeviceAsync((sh.nnz + 7) / 8)
 		return memBytes, ops
 	})
 	if stepErr != nil {
@@ -346,4 +313,174 @@ func (g *Graph) TransitiveReduce(ctx context.Context, cfg ReduceConfig) (*Reduct
 		}
 	}
 	return red, nil
+}
+
+// kernelChunkRows is the number of consecutive rows a kernel block
+// claims at a time: small enough to balance a tile across workers, large
+// enough that the chunk's opening selects amortize.
+const kernelChunkRows = 64
+
+// tileShape is the structure one row tile's charges derive from.
+type tileShape struct {
+	nnz    int64 // entries in the tile's rows
+	bytes  int64 // compressed bytes of those rows
+	flops  int64 // product terms: the sum of deg(w) over entries u->w
+	maxDeg int64 // the longest row, which sizes the kernel's scratch
+}
+
+// tileShapes computes every tile's shape, with up to workers goroutines
+// each claiming whole tiles. This pass decodes every row in full, so it
+// is also where a corrupt adjacency stream is caught.
+func (g *Graph) tileShapes(rowBatch, numTiles, workers int) ([]tileShape, error) {
+	shapes := make([]tileShape, numTiles)
+	errs := make([]error, numTiles)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < min(workers, numTiles); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				t := int(next.Add(1)) - 1
+				if t >= numTiles {
+					return
+				}
+				shapes[t], errs[t] = g.tileShape(t*rowBatch, min((t+1)*rowBatch, g.n))
+			}
+		}()
+	}
+	wg.Wait()
+	for t, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("succinct: transitive reduction, tile %d: %w", t, err)
+		}
+	}
+	return shapes, nil
+}
+
+// tileShape measures rows [lo, hi).
+func (g *Graph) tileShape(lo, hi int) (tileShape, error) {
+	rc, err := g.rowsFrom(uint32(lo))
+	if err != nil {
+		return tileShape{}, err
+	}
+	e0, b0 := rc.e, rc.b
+	var flops, maxDeg int64
+	for u := lo; u < hi; u++ {
+		_, d, err := rc.next()
+		if err != nil {
+			return tileShape{}, err
+		}
+		maxDeg = max(maxDeg, d.left)
+		for d.left > 0 {
+			w, _, err := d.next()
+			if err != nil {
+				return tileShape{}, err
+			}
+			deg, err := g.Degree(w)
+			if err != nil {
+				return tileShape{}, err
+			}
+			flops += deg
+		}
+		if err := d.done(); err != nil {
+			return tileShape{}, err
+		}
+	}
+	return tileShape{nnz: int64(rc.e - e0), bytes: int64(rc.b - b0), flops: flops, maxDeg: maxDeg}, nil
+}
+
+// probeConfig is what the kernel needs besides the store: the two-hop
+// predicate's inputs and the mask it writes.
+type probeConfig struct {
+	vertexLen func(uint32) int
+	fuzz      int
+	removed   []bool
+}
+
+// reduceScratch is one kernel block's reusable state.
+type reduceScratch struct {
+	cols []uint32
+	vals []uint16
+	err  error
+}
+
+// reduceRows masks the transitive entries of rows [lo, hi). Each row
+// writes only its own mask entries, so blocks need no synchronization.
+func (g *Graph) reduceRows(lo, hi int, p probeConfig, sc *reduceScratch) error {
+	rc, err := g.rowsFrom(uint32(lo))
+	if err != nil {
+		return err
+	}
+	for u := lo; u < hi; u++ {
+		base, d, err := rc.next()
+		if err != nil {
+			return err
+		}
+		if d.left == 0 {
+			continue
+		}
+		if sc.cols, sc.vals, err = d.appendTo(sc.cols[:0], sc.vals[:0]); err != nil {
+			return err
+		}
+		cols, vals := sc.cols, sc.vals
+		lenU := p.vertexLen(uint32(u))
+		for i, w := range cols {
+			o1 := lenU - int(vals[i])
+			if o1 <= 0 {
+				continue
+			}
+			lenW := p.vertexLen(w)
+			_, dw, err := g.row(w)
+			if err != nil {
+				return err
+			}
+			// w's columns ascend, so the probe position in u's row only
+			// moves forward; once it passes u's last column no later term
+			// can match.
+			k := 0
+			for dw.left > 0 && k < len(cols) {
+				x, lw, err := dw.next()
+				if err != nil {
+					return err
+				}
+				o2 := lenW - int(lw)
+				if o2 <= 0 {
+					continue
+				}
+				if k = gallop(cols, k, x); k == len(cols) || cols[k] != x {
+					continue
+				}
+				total := o1 + o2
+				if d := lenU - int(vals[k]); total >= d-p.fuzz && total <= d+p.fuzz {
+					p.removed[base+int64(k)] = true
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// gallop returns the first index at or after k whose column is >= x
+// (len(cols) if none): an exponential search forward from k, then a
+// binary search inside the last step.
+func gallop(cols []uint32, k int, x uint32) int {
+	if k >= len(cols) || cols[k] >= x {
+		return k
+	}
+	// Invariant: cols[lo] < x, and hi == len(cols) or cols[hi] >= x.
+	lo, hi := k, k+1
+	for step := 1; hi < len(cols) && cols[hi] < x; step <<= 1 {
+		lo, hi = hi, hi+step
+	}
+	hi = min(hi, len(cols))
+	for lo+1 < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if cols[mid] < x {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return hi
 }

@@ -79,27 +79,14 @@ func (g *Graph) Bytes() int64 {
 // is dropped.
 func (g *Graph) HostBytes() int64 { return g.hostBytes }
 
-// EdgeBase returns the index of row u's first edge in CSR entry order
-// (the rowPtr analogue), valid for u in [0, NumVertices()].
-func (g *Graph) EdgeBase(u uint32) (int64, error) {
-	v, err := g.edgeOff.Get(int(u))
-	if err != nil {
-		return 0, fmt.Errorf("succinct: edge offset of vertex %d: %w", u, err)
-	}
-	return int64(v), nil
-}
-
-// Degree returns the out-degree of vertex u.
+// Degree returns the out-degree of vertex u: one select-once pair read
+// of the edge offsets.
 func (g *Graph) Degree(u uint32) (int64, error) {
-	lo, err := g.EdgeBase(u)
+	lo, hi, err := g.edgeOff.GetPair(int(u))
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("succinct: edge offsets of vertex %d: %w", u, err)
 	}
-	hi, err := g.EdgeBase(u + 1)
-	if err != nil {
-		return 0, err
-	}
-	return hi - lo, nil
+	return int64(hi - lo), nil
 }
 
 // zigzag codes a signed delta as an unsigned varint payload.
@@ -107,90 +94,188 @@ func zigzag(d int64) uint64 { return uint64((d << 1) ^ (d >> 63)) }
 
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
+// rowDecoder steps through one row's entries in the adjacency stream.
+// Every read is bounds-checked, so a corrupt stream yields an error,
+// never a panic or an out-of-range column.
+type rowDecoder struct {
+	u    uint32
+	n    uint64 // vertex count: columns must stay below it
+	buf  []byte // the row's undecoded bytes
+	left int64  // entries not yet decoded
+	// The previous entry, which the next one is a delta from; begun is
+	// false before the row's first (absolutely coded) entry.
+	col   uint64
+	l     uint16
+	begun bool
+}
+
+func (d *rowDecoder) corrupt() error {
+	return fmt.Errorf("succinct: corrupt adjacency stream in row %d", d.u)
+}
+
+// next decodes the row's next entry; the caller checks d.left > 0.
+func (d *rowDecoder) next() (uint32, uint16, error) {
+	cv, k := binary.Uvarint(d.buf)
+	if k <= 0 {
+		return 0, 0, d.corrupt()
+	}
+	lv, k2 := binary.Uvarint(d.buf[k:])
+	if k2 <= 0 || cv >= d.n {
+		return 0, 0, d.corrupt()
+	}
+	d.buf = d.buf[k+k2:]
+	d.left--
+	if d.begun {
+		d.col += cv
+		d.l = uint16(int64(d.l) + unzigzag(lv))
+	} else {
+		d.col, d.l, d.begun = cv, uint16(lv), true
+	}
+	if d.col >= d.n {
+		return 0, 0, d.corrupt()
+	}
+	return uint32(d.col), d.l, nil
+}
+
+// done reports whether the row decoded to exactly its byte range.
+func (d *rowDecoder) done() error {
+	if len(d.buf) != 0 {
+		return fmt.Errorf("succinct: trailing bytes in row %d", d.u)
+	}
+	return nil
+}
+
+// appendTo decodes the rest of the row onto cols and vals.
+func (d *rowDecoder) appendTo(cols []uint32, vals []uint16) ([]uint32, []uint16, error) {
+	for d.left > 0 {
+		c, l, err := d.next()
+		if err != nil {
+			return cols, vals, err
+		}
+		cols = append(cols, c)
+		vals = append(vals, l)
+	}
+	return cols, vals, d.done()
+}
+
+// rowCursor walks rows front to back: opening it costs one select per
+// offset sequence, and every row after that is a forward scan of both.
+type rowCursor struct {
+	g      *Graph
+	u      uint32 // row the next call to next locates
+	ec, bc bitvec.Cursor
+	e, b   uint64 // row u's first edge index and first byte
+}
+
+// rowsFrom opens a row cursor at vertex u, which must be a vertex.
+func (g *Graph) rowsFrom(u uint32) (rowCursor, error) {
+	if int64(u) >= int64(g.n) {
+		return rowCursor{}, fmt.Errorf("succinct: vertex %d out of range for %d vertices", u, g.n)
+	}
+	rc := rowCursor{g: g, u: u}
+	var err error
+	if rc.ec, err = g.edgeOff.Cursor(int(u)); err == nil {
+		if rc.e, err = rc.ec.Next(); err == nil {
+			if rc.bc, err = g.byteOff.Cursor(int(u)); err == nil {
+				rc.b, err = rc.bc.Next()
+			}
+		}
+	}
+	if err != nil {
+		return rowCursor{}, fmt.Errorf("succinct: offsets of vertex %d: %w", u, err)
+	}
+	return rc, nil
+}
+
+// next returns the index of the current row's first edge and a decoder
+// over its entries, and advances to the following row.
+func (rc *rowCursor) next() (int64, rowDecoder, error) {
+	u := rc.u
+	e, err := rc.ec.Next()
+	if err != nil {
+		return 0, rowDecoder{}, fmt.Errorf("succinct: edge offsets of vertex %d: %w", u, err)
+	}
+	b, err := rc.bc.Next()
+	if err != nil {
+		return 0, rowDecoder{}, fmt.Errorf("succinct: byte offsets of vertex %d: %w", u, err)
+	}
+	if e < rc.e || b < rc.b || b > uint64(len(rc.g.adj)) {
+		return 0, rowDecoder{}, fmt.Errorf("succinct: corrupt offsets at vertex %d", u)
+	}
+	base := int64(rc.e)
+	d := rowDecoder{u: u, n: uint64(rc.g.n), buf: rc.g.adj[rc.b:b], left: int64(e - rc.e)}
+	rc.u++
+	rc.e, rc.b = e, b
+	return base, d, nil
+}
+
+// row locates vertex u's entries with one select-once pair read on each
+// offset sequence, returning the index of its first edge and a decoder.
+func (g *Graph) row(u uint32) (int64, rowDecoder, error) {
+	rc, err := g.rowsFrom(u)
+	if err != nil {
+		return 0, rowDecoder{}, err
+	}
+	return rc.next()
+}
+
 // DecodeRow appends row u's column indices and overlap lengths to the
 // provided scratch slices (which may be nil) and returns them. Columns
 // come out strictly ascending, exactly as a CSR row would.
 func (g *Graph) DecodeRow(u uint32, cols []uint32, vals []uint16) ([]uint32, []uint16, error) {
-	if int64(u) >= int64(g.n) {
-		return cols, vals, fmt.Errorf("succinct: vertex %d out of range for %d vertices", u, g.n)
-	}
-	deg, err := g.Degree(u)
+	_, d, err := g.row(u)
 	if err != nil {
 		return cols, vals, err
 	}
-	if deg == 0 {
-		return cols, vals, nil
-	}
-	lo64, err := g.byteOff.Get(int(u))
-	if err != nil {
-		return cols, vals, fmt.Errorf("succinct: byte offset of vertex %d: %w", u, err)
-	}
-	hi64, err := g.byteOff.Get(int(u) + 1)
-	if err != nil {
-		return cols, vals, fmt.Errorf("succinct: byte offset of vertex %d: %w", u+1, err)
-	}
-	buf := g.adj[lo64:hi64]
-	var col uint32
-	var l uint16
-	for i := int64(0); i < deg; i++ {
-		cv, n := binary.Uvarint(buf)
-		if n <= 0 {
-			return cols, vals, fmt.Errorf("succinct: corrupt adjacency stream in row %d", u)
-		}
-		buf = buf[n:]
-		lv, n := binary.Uvarint(buf)
-		if n <= 0 {
-			return cols, vals, fmt.Errorf("succinct: corrupt adjacency stream in row %d", u)
-		}
-		buf = buf[n:]
-		if i == 0 {
-			col = uint32(cv)
-			l = uint16(lv)
-		} else {
-			col += uint32(cv)
-			l = uint16(int64(l) + unzigzag(lv))
-		}
-		cols = append(cols, col)
-		vals = append(vals, l)
-	}
-	if len(buf) != 0 {
-		return cols, vals, fmt.Errorf("succinct: trailing bytes in row %d", u)
-	}
-	return cols, vals, nil
+	return d.appendTo(cols, vals)
 }
 
 // EachOut visits the out-edges of v in ascending target order, stopping
 // early when fn returns false. It implements sgraph.Traversable over
 // the full (unmasked) edge set — the shape compressPhase rebuilds from
-// the persisted live edges. Decode errors terminate the iteration; they
+// the persisted live edges — and decodes in place, allocating nothing.
+// The interface has no error return: a decode error ends the visit, and
 // cannot occur on a Builder-sealed graph.
 func (g *Graph) EachOut(v uint32, fn func(to uint32, l uint16) bool) {
-	cols, vals, err := g.DecodeRow(v, nil, nil)
+	_, d, err := g.row(v)
 	if err != nil {
 		return
 	}
-	for i := range cols {
-		if !fn(cols[i], vals[i]) {
+	for d.left > 0 {
+		to, l, err := d.next()
+		if err != nil || !fn(to, l) {
 			return
 		}
 	}
 }
 
-// Edges streams every entry in CSR order: (u, v) ascending.
-func (g *Graph) Edges(fn func(Edge)) {
-	var cols []uint32
-	var vals []uint16
+// Edges streams every entry in CSR order: (u, v) ascending. It returns
+// the first decode error, after streaming the entries before it.
+func (g *Graph) Edges(fn func(Edge)) error {
+	if g.n == 0 {
+		return nil
+	}
+	rc, err := g.rowsFrom(0)
+	if err != nil {
+		return err
+	}
 	for u := 0; u < g.n; u++ {
-		cols, vals = cols[:0], vals[:0]
-		var err error
-		cols, vals, err = g.DecodeRow(uint32(u), cols, vals)
+		_, d, err := rc.next()
 		if err != nil {
-			return
+			return err
 		}
-		for i := range cols {
-			fn(Edge{U: uint32(u), V: cols[i], Len: vals[i]})
+		for d.left > 0 {
+			v, l, err := d.next()
+			if err != nil {
+				return err
+			}
+			fn(Edge{U: uint32(u), V: v, Len: l})
+		}
+		if err := d.done(); err != nil {
+			return err
 		}
 	}
+	return nil
 }
 
 // Builder assembles a Graph from edges arriving in non-decreasing

@@ -52,9 +52,12 @@ func randomSortedEdges(rng *rand.Rand, numVertices, n int) []Edge {
 	return edges
 }
 
-func collect(g *Graph) []Edge {
+func collect(t testing.TB, g *Graph) []Edge {
+	t.Helper()
 	var out []Edge
-	g.Edges(func(e Edge) { out = append(out, e) })
+	if err := g.Edges(func(e Edge) { out = append(out, e) }); err != nil {
+		t.Fatal(err)
+	}
 	return out
 }
 
@@ -158,7 +161,7 @@ func TestFromEdgeRunsMatchesReference(t *testing.T) {
 		if g.NNZ() != int64(len(want)) {
 			t.Fatalf("trial %d: nnz %d vs reference %d", trial, g.NNZ(), len(want))
 		}
-		got := collect(g)
+		got := collect(t, g)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: %d edges vs %d", trial, len(got), len(want))
 		}
@@ -245,7 +248,7 @@ func TestDuplicatesKeepLongest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := collect(g)
+	got := collect(t, g)
 	want := []Edge{{U: 1, V: 2, Len: 30}, {U: 1, V: 3, Len: 5}}
 	if len(got) != len(want) {
 		t.Fatalf("edges = %+v", got)
@@ -290,7 +293,7 @@ func TestTransitiveReduceMatchesReference(t *testing.T) {
 			t.Fatalf("trial %d: removed/flops %d/%d vs reference %d/%d",
 				trial, gr.Removed, gr.Flops, wantRemoved, wantFlops)
 		}
-		gotLive := liveEdges(gr)
+		gotLive := liveEdges(t, gr)
 		if len(gotLive) != len(wantLive) {
 			t.Fatalf("trial %d: %d live vs %d", trial, len(gotLive), len(wantLive))
 		}
@@ -314,6 +317,51 @@ func TestTransitiveReduceMatchesReference(t *testing.T) {
 		for k := range gotLive {
 			if viewLive[k] != gotLive[k] {
 				t.Fatalf("trial %d: LiveView %d: %+v vs %+v", trial, k, viewLive[k], gotLive[k])
+			}
+		}
+	}
+}
+
+// TestTransitiveReduceTilingMatchesReference repeats the reference check
+// on graphs large enough for the kernel's scheduling to matter: rows
+// longer than a kernel chunk, tiles that split chunks, and rows with
+// tens of columns for the merge probe to gallop through. Targets are
+// drawn from a window after the source, so two-hop chains — and masked
+// entries anywhere in a row, including its last column — are common.
+func TestTransitiveReduceTilingMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	vertexLen := func(v uint32) int { return 120 + int(v%9) }
+	for trial := 0; trial < 4; trial++ {
+		nv := 2 * (150 + rng.Intn(150))
+		window := 8 + rng.Intn(60)
+		var ovs []overlap
+		for i := 0; i < 12*nv; i++ {
+			u := rng.Intn(nv)
+			v := (u + 1 + rng.Intn(window)) % nv
+			ovs = append(ovs, overlap{uint32(u), uint32(v), uint16(rng.Intn(125) + 10)})
+		}
+		stream := overlapEdges(ovs)
+		g, err := FromEdgeRuns(nv, sliceIter(stream))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fuzz := rng.Intn(4)
+		wantLive, wantRemoved, wantFlops := refFromSorted(nv, stream).reduce(vertexLen, fuzz)
+		for _, rowBatch := range []int{1, kernelChunkRows - 1, kernelChunkRows, kernelChunkRows + 1, 150, 0} {
+			gr := reduceAll(t, g, ReduceConfig{VertexLen: vertexLen, Fuzz: fuzz, RowBatch: rowBatch})
+			if gr.Removed != wantRemoved || gr.Flops != wantFlops {
+				t.Fatalf("trial %d, row batch %d: removed/flops %d/%d vs reference %d/%d",
+					trial, rowBatch, gr.Removed, gr.Flops, wantRemoved, wantFlops)
+			}
+			gotLive := liveEdges(t, gr)
+			if len(gotLive) != len(wantLive) {
+				t.Fatalf("trial %d, row batch %d: %d live vs %d", trial, rowBatch, len(gotLive), len(wantLive))
+			}
+			for k := range wantLive {
+				if gotLive[k] != wantLive[k] {
+					t.Fatalf("trial %d, row batch %d: live %d: %+v vs %+v",
+						trial, rowBatch, k, gotLive[k], wantLive[k])
+				}
 			}
 		}
 	}
@@ -376,5 +424,103 @@ func TestEmptyGraph(t *testing.T) {
 	}
 	if r.Removed != 0 {
 		t.Fatalf("removed = %d", r.Removed)
+	}
+}
+
+// corruptRowEnd sets the continuation bit on the last byte of vertex
+// u's row, so the row's final varint runs past the row's byte range: a
+// corruption every decode of that row must report.
+func corruptRowEnd(t *testing.T, g *Graph, u uint32) {
+	t.Helper()
+	_, end, err := g.byteOff.GetPair(int(u))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if deg, err := g.Degree(u); err != nil || deg == 0 {
+		t.Fatalf("vertex %d: degree %d, %v; want a non-empty row", u, deg, err)
+	}
+	g.adj[end-1] |= 0x80
+}
+
+// TestCorruptStoreFailsLoudly flips one adjacency byte of a sealed graph
+// and requires both consumers of the stream to return an error rather
+// than a silently truncated result: TransitiveReduce, fully resident and
+// out-of-core, and the LiveEdges iterator that feeds edges.kv.
+func TestCorruptStoreFailsLoudly(t *testing.T) {
+	build := func() *Graph {
+		g, _ := randomOverlapGraph(t, rand.New(rand.NewSource(7)), 60, 100)
+		return g
+	}
+	g := build()
+	// A row in the middle of the store, so the corruption is neither the
+	// first nor the last thing either path decodes.
+	u := uint32(g.NumVertices() / 2)
+	for deg, _ := g.Degree(u); deg == 0; deg, _ = g.Degree(u) {
+		u++
+	}
+	corruptRowEnd(t, g, u)
+	for _, maxRes := range []int64{0, 64} {
+		_, err := g.TransitiveReduce(context.Background(), ReduceConfig{
+			Device: testDevice(), VertexLen: lenFn(100), RowBatch: 8, MaxResidentBytes: maxRes})
+		if err == nil {
+			t.Errorf("TransitiveReduce (max resident %d) on a corrupt store returned no error", maxRes)
+		} else if !strings.Contains(err.Error(), "corrupt adjacency stream") {
+			t.Errorf("TransitiveReduce error %q does not name the corruption", err)
+		}
+	}
+
+	// LiveEdges: reduce the intact store, then corrupt it under the
+	// reduction and drain.
+	g = build()
+	red := reduceAll(t, g, ReduceConfig{VertexLen: lenFn(100)})
+	want := len(liveEdges(t, red))
+	corruptRowEnd(t, g, u)
+	next := red.LiveEdges()
+	got := 0
+	var err error
+	for {
+		var ok bool
+		if _, ok, err = next(); err != nil || !ok {
+			break
+		}
+		got++
+	}
+	if err == nil {
+		t.Fatalf("LiveEdges on a corrupt store ended after %d of %d edges with no error", got, want)
+	}
+	if _, ok, again := next(); ok || again == nil {
+		t.Errorf("LiveEdges after an error returned ok=%v, err=%v; want the error again", ok, again)
+	}
+	if err := red.Live(func(Edge) {}); err == nil {
+		t.Error("Live on a corrupt store returned no error")
+	}
+}
+
+// TestCorruptStoreNeverPanics overwrites random adjacency bytes and runs
+// every decoding path over the damaged store: each may return an error
+// (or, where the damage still decodes, a wrong graph) but none may panic
+// or index out of range.
+func TestCorruptStoreNeverPanics(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 60; trial++ {
+		g, _ := randomOverlapGraph(t, rand.New(rand.NewSource(int64(trial))), 30, 100)
+		red := reduceAll(t, g, ReduceConfig{VertexLen: lenFn(100)})
+		for i := 0; i < 1+rng.Intn(4); i++ {
+			g.adj[rng.Intn(len(g.adj))] = byte(rng.Intn(256))
+		}
+		g.TransitiveReduce(context.Background(), ReduceConfig{
+			Device: testDevice(), VertexLen: lenFn(100), RowBatch: 1 + rng.Intn(20)})
+		for next := red.LiveEdges(); ; {
+			if _, ok, err := next(); !ok || err != nil {
+				break
+			}
+		}
+		g.Edges(func(Edge) {})
+		lv := red.LiveView()
+		for u := uint32(0); u < uint32(g.NumVertices()); u++ {
+			g.DecodeRow(u, nil, nil)
+			g.EachOut(u, func(uint32, uint16) bool { return true })
+			lv.EachOut(u, func(uint32, uint16) bool { return true })
+		}
 	}
 }
