@@ -3,7 +3,9 @@
 // GPU, cooperating through master-assigned input blocks, an all-to-all
 // shuffle of length partitions, and a reduce phase serialized by passing
 // the out-degree bit-vector from the node owning partition l+1 to the
-// node owning partition l.
+// node owning partition l. The simulation feeds every node's candidates,
+// in that order, to one core.Engine on the master and charges the token
+// hops and shipping the engine declares.
 //
 // Nodes are simulated in-process: each runs its phase work in its own
 // goroutine against its own storage directory, device, and cost meter.
@@ -25,29 +27,23 @@ import (
 	"os"
 	"path"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/bitvec"
 	"repro/internal/contig"
 	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/dna"
 	"repro/internal/extsort"
-	"repro/internal/fastq"
 	"repro/internal/gpu"
 	"repro/internal/graph"
 	"repro/internal/kv"
 	"repro/internal/kvio"
 	"repro/internal/obs"
 	"repro/internal/overlap"
-	"repro/internal/sgraph"
 	"repro/internal/stats"
-	"repro/internal/succinct"
 )
 
 // Config parameterizes a cluster run. Block sizes have the same meaning
@@ -90,13 +86,14 @@ type Config struct {
 	IncludeSingletons      bool
 	BreakCycles            bool
 	// GraphBackend selects the reduce/compress engine, mirroring
-	// core.Config.GraphBackend: "" or core.BackendGreedy runs the paper's
-	// serialized greedy graph with bit-vector token forwarding;
-	// core.BackendSuccinct ships every node's candidate list to the
-	// master, which runs the same core.ReduceSuccinct as a single-node
-	// run: the sorted spill makes the store independent of the cluster's
-	// arrival order, so contig output is byte-identical to a single-node
-	// succinct run. Output-relevant: part of the per-node manifest
+	// core.Config.GraphBackend. Both engines run through the one
+	// core.Engine seam: every node's candidates feed the engine on the
+	// master in descending length, serialized as by the bit-vector token,
+	// and the engine's core.ClusterCharges price the token hops and the
+	// shipping. Greedy output matches a single-node greedy run, and the
+	// string graph's sorted spill makes its store independent of the
+	// arrival order, so succinct output matches a single-node succinct
+	// run byte for byte. Output-relevant: part of the per-node manifest
 	// fingerprints.
 	GraphBackend string
 	// Resume re-enters an interrupted run from the nodes' private storage
@@ -171,12 +168,6 @@ func (c Config) Validate() error {
 	return single.Validate()
 }
 
-// backend is the resolved GraphBackend of a validated configuration.
-func (c Config) backend() string {
-	b, _ := core.ResolveBackend(c.GraphBackend)
-	return b
-}
-
 func (c Config) profile() costmodel.Profile {
 	p := c.GPU.CostProfile(c.DiskReadBps, c.DiskWriteBps)
 	p.NetBps = c.NetBps
@@ -195,7 +186,6 @@ type node struct {
 	meter   *costmodel.Meter
 	hostMem stats.MemTracker
 	counts  map[int]int64 // owned-partition tuple counts after shuffle
-	edges   []graph.Edge  // accepted edges for owned partitions
 	// ledger accumulates the node's modeled overlap savings; nil when
 	// Config.Streams is off.
 	ledger *costmodel.OverlapLedger
@@ -203,15 +193,12 @@ type node struct {
 
 // Cluster is a simulated multi-node deployment.
 type Cluster struct {
-	cfg   Config
-	nodes []*node
-	// serial meters the reduce phase's serialized component: greedy graph
-	// building and bit-vector token forwarding (or, under the succinct
-	// backend, shipping candidates to the master and spilling them).
+	cfg    Config
+	engine core.Engine // the Reduce/Compress engine GraphBackend selects
+	nodes  []*node
+	// serial meters the reduce phase's serialized component: feeding the
+	// candidates to the engine, token hops, and candidate shipping.
 	serial *costmodel.Meter
-	// succRed holds the master's transitive reduction between the reduce
-	// and compress phases when the succinct backend is selected.
-	succRed *succinct.Reduction
 
 	// FaultHook, when set, fires after a node commits a stage to its
 	// manifest, mirroring core.Pipeline.FaultHook. Returning an error
@@ -276,7 +263,7 @@ func New(cfg Config) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Cluster{cfg: cfg, serial: costmodel.NewMeter()}
+	c := &Cluster{cfg: cfg, engine: core.EngineFor(cfg.GraphBackend), serial: costmodel.NewMeter()}
 	cfg.Obs.Tracer().NameProcess(0, "coordinator")
 	for i := 0; i < cfg.Nodes; i++ {
 		dir := filepath.Join(cfg.Workspace, fmt.Sprintf("node%02d", i))
@@ -429,7 +416,7 @@ func (c Config) fingerprint(nodeID int) string {
 		c.PartitionByFingerprint, c.IncludeSingletons, c.BreakCycles)
 	// The resolved backend, matching core.Config.fingerprint: "" and
 	// "greedy" must fingerprint identically.
-	fmt.Fprintf(h, "|backend=%s", c.backend())
+	fmt.Fprintf(h, "|backend=%s", core.EngineFor(c.GraphBackend).Name())
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -547,7 +534,7 @@ func (c *Cluster) AssembleContext(ctx context.Context, rs *dna.ReadSet) (*Result
 				if err := pfxW.Close(); err != nil {
 					return out, err
 				}
-				for _, l := range sortedLengths(counts) {
+				for _, l := range core.SortedLengthsDesc(counts) {
 					out.Artifacts = append(out.Artifacts,
 						filepath.Base(kvio.PartitionPath(n.dir, kvio.Suffix, l)),
 						filepath.Base(kvio.PartitionPath(n.dir, kvio.Prefix, l)))
@@ -582,7 +569,7 @@ func (c *Cluster) AssembleContext(ctx context.Context, rs *dna.ReadSet) (*Result
 				if err != nil {
 					return out, err
 				}
-				for _, l := range sortedLengths(n.counts) {
+				for _, l := range core.SortedLengthsDesc(n.counts) {
 					out.Artifacts = append(out.Artifacts,
 						shufName(kvio.Suffix, l), shufName(kvio.Prefix, l))
 				}
@@ -612,7 +599,7 @@ func (c *Cluster) AssembleContext(ctx context.Context, rs *dna.ReadSet) (*Result
 				if err := c.sortNode(ctx, n); err != nil {
 					return out, err
 				}
-				for _, l := range sortedLengths(n.counts) {
+				for _, l := range core.SortedLengthsDesc(n.counts) {
 					out.Artifacts = append(out.Artifacts,
 						sortedName(kvio.Suffix, l), sortedName(kvio.Prefix, l))
 				}
@@ -636,20 +623,21 @@ func (c *Cluster) AssembleContext(ctx context.Context, rs *dna.ReadSet) (*Result
 	}
 	res.CachedStages = runners[0].CachedStages()
 
-	// Reduce: overlap finding in parallel, then greedy graph building
-	// serialized by the bit-vector token in descending length order
-	// (Section III-E.3).
-	if err := c.reducePhase(ctx, rs, res); err != nil {
+	// Reduce: overlap finding in parallel, then graph building serialized
+	// by the bit-vector token in descending length order (Section
+	// III-E.3).
+	g, keptShipBytes, err := c.reducePhase(ctx, rs, res)
+	if err != nil {
 		return res, err
 	}
 
-	// Compress: the master collects the disjoint edge sets and generates
+	// Compress: the master collects the nodes' edges and generates
 	// contigs.
 	err = c.runPhase(core.PhaseCompress, res, 0, func(n *node) error {
 		if n.id != 0 {
 			return nil
 		}
-		return c.compressOnMaster(rs, res)
+		return c.compressOnMaster(rs, g, keptShipBytes, res)
 	})
 	return res, err
 }
@@ -683,16 +671,6 @@ func shuffleCountsFromRecord(rec core.StageRecord) (map[int]int64, error) {
 		counts[l] = a.Bytes / kv.PairBytes
 	}
 	return counts, nil
-}
-
-// sortedLengths returns the map's keys in ascending order.
-func sortedLengths(counts map[int]int64) []int {
-	lengths := make([]int, 0, len(counts))
-	for l := range counts {
-		lengths = append(lengths, l)
-	}
-	sort.Ints(lengths)
-	return lengths
 }
 
 // shuffleNode pulls every peer's copy of the partitions n owns into n's
@@ -794,10 +772,10 @@ func (c *Cluster) sortNode(ctx context.Context, n *node) error {
 		kind kvio.Kind
 	}
 	var tasks []task
-	for l := range n.counts {
+	for _, l := range core.SortedLengthsDesc(n.counts) {
 		tasks = append(tasks, task{l, kvio.Suffix}, task{l, kvio.Prefix})
 	}
-	return runNodeTasks(c.cfg.WorkersPerNode, len(tasks), func(i int) error {
+	return core.RunTasks(c.cfg.WorkersPerNode, len(tasks), func(_, i int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -829,59 +807,17 @@ func (c *Cluster) sortNode(ctx context.Context, n *node) error {
 	})
 }
 
-// runNodeTasks runs n independent tasks on up to workers goroutines
-// (workers <= 1 runs them inline) and returns the first error.
-func runNodeTasks(workers, n int, task func(i int) error) error {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := task(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	jobs := make(chan int)
-	errs := make(chan error, workers)
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				if failed.Load() {
-					continue
-				}
-				if err := task(i); err != nil {
-					failed.Store(true)
-					select {
-					case errs <- err:
-					default:
-					}
-				}
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	close(errs)
-	return <-errs
-}
-
 // cand is one verified candidate overlap buffered between a node's
 // overlap finding and the serialized graph-building step.
 type cand struct{ u, v uint32 }
 
-// reducePhase runs overlap finding on all nodes in parallel, then applies
-// candidates to the shared greedy discipline strictly in descending
-// partition order, forwarding the out-degree bit-vector between owners.
-func (c *Cluster) reducePhase(ctx context.Context, rs *dna.ReadSet, res *Result) error {
+// reducePhase runs overlap finding on all nodes in parallel, then feeds
+// every node's candidates to the engine on the master strictly in
+// descending partition order, forwarding the token between owners. It
+// returns the reduced graph, which stays charged to the master until
+// Compress releases it, and the master network bytes Compress charges
+// for collecting the edges the other nodes kept.
+func (c *Cluster) reducePhase(ctx context.Context, rs *dna.ReadSet, res *Result) (core.ReducedGraph, int64, error) {
 	maxLen := rs.MaxLen()
 	// candidates[l][nodeID]: with length partitioning only the owner's
 	// slot fills; with fingerprint partitioning every node contributes a
@@ -900,12 +836,8 @@ func (c *Cluster) reducePhase(ctx context.Context, rs *dna.ReadSet, res *Result)
 			Obs:         c.cfg.Obs,
 			Overlap:     n.ledger,
 		}
-		lengths := make([]int, 0, len(n.counts))
-		for l := range n.counts {
-			lengths = append(lengths, l)
-		}
-		sort.Ints(lengths)
-		return runNodeTasks(c.cfg.WorkersPerNode, len(lengths), func(i int) error {
+		lengths := core.SortedLengthsDesc(n.counts)
+		return core.RunTasks(c.cfg.WorkersPerNode, len(lengths), func(_, i int) error {
 			l := lengths[i]
 			sfx := filepath.Join(n.dir, sortedName(kvio.Suffix, l))
 			pfx := filepath.Join(n.dir, sortedName(kvio.Prefix, l))
@@ -928,180 +860,104 @@ func (c *Cluster) reducePhase(ctx context.Context, rs *dna.ReadSet, res *Result)
 		})
 	})
 	if err != nil {
-		return err
+		return nil, 0, err
 	}
 
-	// Serialized graph building (the t_g component). Greedy: token
-	// forwarding between owners in descending length order. Succinct:
-	// candidate lists ship to the master, which builds the compressed
-	// store and runs the device transitive reduction. The wall-clock cost
-	// is tiny; the modeled cost is charged to the dedicated serial meter
-	// (and the master's meter for the spill, sort, and reduction) and
-	// added to the reduce phase.
+	// Serialized graph building (the t_g component). The wall-clock cost
+	// is tiny; the modeled cost is the engine's ClusterCharges on the
+	// dedicated serial meter plus whatever the engine itself charges the
+	// master (the string graph's spill, sort, and reduction), both added
+	// to the reduce phase.
+	master := c.nodes[0]
+	charges := c.engine.ClusterCharges(rs.NumReads())
+	prof := c.cfg.profile()
 	serialBefore := c.serial.Snapshot()
+	masterBefore, savedBefore := master.meter.Snapshot(), master.ledger.SavedSeconds()
 	serialSpan := c.cfg.Obs.Tracer().Begin(obs.Track{}, "stage", "ReduceSerial").
-		Metered(c.serial, c.cfg.profile())
-	var serialErr error
-	var trTime time.Duration
-	if c.cfg.backend() == core.BackendSuccinct {
-		trTime, serialErr = c.reduceSuccinctOnMaster(ctx, rs, maxLen, candidates, res)
-	} else {
-		token := bitvec.New(2 * rs.NumReads())
-		graphs := make(map[int]*graph.Graph, len(c.nodes))
-		for _, n := range c.nodes {
-			graphs[n.id] = graph.NewWithVector(rs.NumReads(), token)
-		}
+		Metered(c.serial, prof)
+	var keptElsewhere int64 // candidates kept from non-master nodes
+	g, serialErr := c.engine.Reduce(ctx, c.masterEnv(rs), func(add core.AddFunc) error {
 		prevOwner := -1
 		for l := maxLen - 1; l >= c.cfg.MinOverlap; l-- {
-			slots := candidates[l]
-			if slots == nil {
-				continue
-			}
-			for nodeID, list := range slots {
+			for nodeID, list := range candidates[l] {
 				if len(list) == 0 {
 					continue
 				}
 				if prevOwner != -1 && prevOwner != nodeID {
-					// Token hop between nodes.
-					c.serial.AddNet(token.Bytes())
+					c.serial.AddNet(charges.TokenBytes)
 				}
 				prevOwner = nodeID
-				g := graphs[nodeID]
-				for _, cd := range list {
-					// Each candidate touches ~4 cache lines of randomly-
-					// addressed host memory (two bit-vector probes, two
-					// edge-slot writes), which is what makes graph building
-					// the serialized cost the paper's t_g term captures.
-					c.serial.AddHostMem(4 * 64)
-					g.AddCandidate(cd.u, cd.v, uint16(l))
-				}
-			}
-			delete(candidates, l)
-		}
-		for _, n := range c.nodes {
-			n.edges = graphs[n.id].Edges()
-			res.AcceptedEdges += int64(len(n.edges))
-		}
-	}
-	serialSpan.End()
-	serialTime := c.serial.Snapshot().Sub(serialBefore).Time(c.cfg.profile()) + trTime
-	// Fold the serialized component into the recorded reduce phase.
-	last := &res.Phases[len(res.Phases)-1]
-	res.ReduceOverlapModeled = last.Modeled
-	res.ReduceSerialModeled = serialTime
-	last.Modeled += serialTime
-	res.TotalModeled += serialTime
-	return serialErr
-}
-
-// reduceSuccinctOnMaster is the succinct backend's serialized
-// component: every node's candidate list ships to the master in
-// descending length order and feeds core.ReduceSuccinct on the master's
-// device and storage, the same reduce a single-node run performs.
-// Returns the master's modeled time for the spill, sort, and reduction
-// (overlap savings already netted out), which the caller folds into the
-// reduce phase alongside the serial-meter time. The compressed store
-// stays charged to the master until compress consumes it.
-func (c *Cluster) reduceSuccinctOnMaster(ctx context.Context, rs *dna.ReadSet, maxLen int,
-	candidates map[int][][]cand, res *Result) (time.Duration, error) {
-	master := c.nodes[0]
-	meterBefore := master.meter.Snapshot()
-	savedBefore := master.ledger.SavedSeconds()
-	red, err := core.ReduceSuccinct(ctx, extsort.Config{
-		Device:           master.dev,
-		Meter:            master.meter,
-		HostMem:          &master.hostMem,
-		HostBlockPairs:   c.cfg.HostBlockPairs,
-		DeviceBlockPairs: c.cfg.DeviceBlockPairs,
-		TempDir:          filepath.Join(master.dir, "sort_succinct"),
-		Obs:              c.cfg.Obs,
-		Overlap:          master.ledger,
-	}, &master.hostMem, rs, func(add func(u, v uint32, l uint16)) error {
-		for l := maxLen - 1; l >= c.cfg.MinOverlap; l-- {
-			for nodeID, list := range candidates[l] {
 				if nodeID != master.id {
-					// Candidate lists travel to the master: ~6 bytes per
-					// edge (4-byte vertex + overlap length, Section
-					// III-C's sizing).
-					c.serial.AddNet(int64(len(list)) * 6)
+					c.serial.AddNet(int64(len(list)) * charges.CandidateShipBytes)
 				}
 				for _, cd := range list {
-					// The serialized host cost is the spill append — one
-					// sequential cache line per candidate, not greedy
-					// graph building's four random ones.
-					c.serial.AddHostMem(64)
-					add(cd.u, cd.v, uint16(l))
+					c.serial.AddHostMem(charges.CandidateHostBytes)
+					if add(cd.u, cd.v, uint16(l)) && nodeID != master.id {
+						keptElsewhere++
+					}
 				}
 			}
 			delete(candidates, l)
 		}
 		return nil
 	})
-	if err != nil {
-		return 0, err
-	}
-	trTime := master.meter.Snapshot().Sub(meterBefore).Time(c.cfg.profile()) -
+	serialSpan.End()
+	// The master's own modeled time for the engine's work, overlap
+	// savings netted out.
+	masterTime := master.meter.Snapshot().Sub(masterBefore).Time(prof) -
 		time.Duration((master.ledger.SavedSeconds()-savedBefore)*float64(time.Second))
-	if trTime < 0 {
-		trTime = 0
+	serialTime := c.serial.Snapshot().Sub(serialBefore).Time(prof) + max(masterTime, 0)
+	// Fold the serialized component into the recorded reduce phase.
+	last := &res.Phases[len(res.Phases)-1]
+	res.ReduceOverlapModeled = last.Modeled
+	res.ReduceSerialModeled = serialTime
+	last.Modeled += serialTime
+	res.TotalModeled += serialTime
+	if serialErr != nil {
+		return nil, 0, serialErr
 	}
-	c.succRed = red
-	res.ReducedEdges = red.Removed
-	res.AcceptedEdges = red.Graph().NNZ() - red.Removed
-	return trTime, nil
+	res.AcceptedEdges = g.Accepted()
+	res.ReducedEdges = g.Removed()
+	return g, keptElsewhere * charges.KeptShipBytes, nil
 }
 
-// compressOnMaster merges the disjoint per-node edge sets and generates
-// contigs on node 0. Under the succinct backend the live (post-reduction)
-// store entries replace the per-node greedy edge sets, and contigs are
-// spelled from unitig chains — the same rule as the single-node succinct
-// compress, so the FASTA bytes match it exactly.
-func (c *Cluster) compressOnMaster(rs *dna.ReadSet, res *Result) error {
+// masterEnv is what the engine runs against on the master: its device,
+// meter, host tracker (charged with the graph too) and storage.
+func (c *Cluster) masterEnv(rs *dna.ReadSet) core.EngineEnv {
 	master := c.nodes[0]
-	var paths []graph.Path
-	if c.cfg.backend() == core.BackendSuccinct {
-		// Unitigs spell directly off the masked compressed store — the
-		// live view iterates surviving edges in the same ascending order a
-		// rebuilt graph would, so the FASTA bytes match the single-node
-		// succinct output exactly.
-		paths = sgraph.UnitigsOf(c.succRed.LiveView(), rs.VertexLen, c.cfg.IncludeSingletons)
-		master.hostMem.Release(c.succRed.Graph().HostBytes())
-		c.succRed = nil
-	} else {
-		final := graph.New(rs.NumReads())
-		for _, n := range c.nodes {
-			if n.id != master.id {
-				// Edge sets travel to the master: ~6 bytes per edge (4-byte
-				// vertex + overlap length, Section III-C's sizing).
-				master.meter.AddNet(int64(len(n.edges)) * 6)
-			}
-			for _, e := range n.edges {
-				final.InstallEdge(e)
-			}
-		}
-		paths = final.Traverse(rs.VertexLen, graph.TraverseOptions{
+	return core.EngineEnv{
+		Sort: extsort.Config{
+			Device:           master.dev,
+			Meter:            master.meter,
+			HostMem:          &master.hostMem,
+			HostBlockPairs:   c.cfg.HostBlockPairs,
+			DeviceBlockPairs: c.cfg.DeviceBlockPairs,
+			TempDir:          filepath.Join(master.dir, "sort_succinct"),
+			Obs:              c.cfg.Obs,
+			Overlap:          master.ledger,
+		},
+		GraphMem: &master.hostMem,
+		Reads:    rs,
+		Traverse: graph.TraverseOptions{
 			IncludeSingletons: c.cfg.IncludeSingletons,
 			BreakCycles:       c.cfg.BreakCycles,
-		})
+		},
 	}
+}
+
+// compressOnMaster collects the edges the other nodes kept (keptShipBytes
+// of network traffic on the master) and generates contigs on node 0 from
+// the reduced graph, releasing it. Paths come from the same engine rule
+// as a single-node run, so the FASTA bytes match it. Unlike the
+// single-node pipeline, the FASTA write is not metered.
+func (c *Cluster) compressOnMaster(rs *dna.ReadSet, g core.ReducedGraph, keptShipBytes int64, res *Result) error {
+	master := c.nodes[0]
+	master.meter.AddNet(keptShipBytes)
+	paths := g.Paths()
+	g.Release()
 	res.Contigs = contig.Generate(contig.Config{Device: master.dev}, paths, rs)
 	res.ContigStats = contig.Summarize(res.Contigs)
-
 	res.ContigPath = filepath.Join(c.cfg.Workspace, "contigs.fasta")
-	f, err := os.Create(res.ContigPath)
-	if err != nil {
-		return err
-	}
-	w := fastq.NewFastaWriter(f, 80)
-	for i, cg := range res.Contigs {
-		if err := w.Write(fastq.Record{Name: fmt.Sprintf("contig%d len=%d", i, len(cg)), Seq: cg}); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	_, err := contig.WriteFASTA(res.ContigPath, res.Contigs)
+	return err
 }

@@ -108,19 +108,6 @@ type Config struct {
 	// positives into hard errors. The paper reports zero false positives
 	// with 128-bit fingerprints; this switch proves it per run.
 	VerifyOverlaps bool
-	// Shards asks the fleet-capable layers (internal/serve, the CLI) to
-	// split this run across K fleet devices via the cluster layer instead
-	// of executing it on one card. 0 or 1 keeps the single-device
-	// pipeline. The core pipeline itself ignores the knob beyond
-	// validation — output is byte-identical at every shard count, so it is
-	// excluded from the resume fingerprint.
-	Shards int
-	// Priority is the serving-layer admission lane this run should join
-	// ("" or "batch", or "interactive" to jump the batch backlog and
-	// preempt running batch jobs when no device has room). Pure
-	// scheduling metadata: the pipeline ignores it and it never affects
-	// output or the resume fingerprint.
-	Priority string
 	// Obs is the observability sink: span tracing, structured logging,
 	// and the metrics registry. Nil (the default) disables all
 	// instrumentation; runs are byte-identical either way. Like the other
@@ -170,18 +157,6 @@ func ResolveBackend(name string) (string, error) {
 	}
 	return "", fmt.Errorf("unknown graph backend %q (want %q or %q)", name, BackendGreedy, BackendSuccinct)
 }
-
-// The Config.Priority admission lanes, in descending scheduling priority.
-const (
-	// PriorityInteractive jobs are dispatched before any batch job and may
-	// preempt running batch jobs when no device has room.
-	PriorityInteractive = "interactive"
-	// PriorityBatch is the default lane (also the resolution of "").
-	PriorityBatch = "batch"
-)
-
-// Priorities lists the valid Priority values, for CLI/API validation.
-var Priorities = []string{PriorityInteractive, PriorityBatch}
 
 // Progress events delivered to Config.Progress.
 const (
@@ -236,25 +211,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: device block needs %d bytes, %s has %d",
 			need, c.GPU.Name, c.GPU.MemBytes)
 	}
-	if c.Shards < 0 {
-		return fmt.Errorf("core: Shards must be >= 0, got %d", c.Shards)
-	}
-	switch c.Priority {
-	case "", PriorityBatch, PriorityInteractive:
-	default:
-		return fmt.Errorf("core: unknown Priority %q (want %q or %q)",
-			c.Priority, PriorityBatch, PriorityInteractive)
-	}
 	if _, err := ResolveBackend(c.GraphBackend); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
 	return nil
-}
-
-// backend is the resolved GraphBackend of a validated configuration.
-func (c Config) backend() string {
-	b, _ := ResolveBackend(c.GraphBackend)
-	return b
 }
 
 // Profile returns the cost-model profile for the configured hardware.

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/graph"
 )
 
 func TestAssembleFileMissing(t *testing.T) {
@@ -76,12 +78,12 @@ func TestWriteEdgeFileStopsOnIteratorError(t *testing.T) {
 	bad := errors.New("corrupt adjacency stream")
 	i := 0
 	n, err := writeEdgeFile(filepath.Join(t.TempDir(), edgeFileName), nil,
-		func() (persistedEdge, bool, error) {
+		func() (graph.Edge, bool, error) {
 			if i == 3 {
-				return persistedEdge{}, false, bad
+				return graph.Edge{}, false, bad
 			}
 			i++
-			return persistedEdge{U: uint32(i), V: uint32(i + 1), Len: 50}, true, nil
+			return graph.Edge{U: uint32(i), V: uint32(i + 1), Len: 50}, true, nil
 		})
 	if !errors.Is(err, bad) {
 		t.Fatalf("writeEdgeFile err = %v, want the iterator's error", err)

@@ -9,32 +9,15 @@ const modeledGraphDegree = 8
 
 // GraphHostModel returns the modeled peak host bytes a job of numReads
 // reads (of at most maxReadLen bases) needs under the given graph
-// backend: the bulk read set plus the backend's graph-representation
-// peak. It is the serving layer's host-side analogue of
-// DeviceDemandBytes — a deterministic upper bound the admission math can
-// invert — not a measurement.
-//
-// Per-backend graph terms, for n = 2*numReads vertices and
-// nnz = modeledGraphDegree*n modeled entries:
-//
-//   - greedy: per-vertex arrays only (successor, overlap length, one bit
-//     of out-mask) — no per-edge term, the paper's O(reads) design.
-//   - succinct: the compressed adjacency stream (~3 B/entry) plus the
-//     two Elias–Fano offset sequences (~2 B/vertex) — the builder's
-//     transient bookkeeping is smaller than the sealed structure, so the
-//     sealed size is the peak.
+// backend: the bulk read set plus the engine's graph-representation
+// peak for n = 2*numReads vertices (each engine's graphHostBytes, with
+// modeledGraphDegree*n modeled entries where it stores edges). It is the
+// serving layer's host-side analogue of DeviceDemandBytes — a
+// deterministic upper bound the admission math can invert — not a
+// measurement.
 func GraphHostModel(backend string, numReads, maxReadLen int) int64 {
-	n := int64(2 * numReads)
-	nnz := modeledGraphDegree * n
 	reads := int64(numReads)*int64(maxReadLen) + 4*int64(numReads)
-	var g int64
-	switch backend {
-	case BackendSuccinct:
-		g = 3*nnz + 2*(n+1)
-	default: // greedy (and the empty-string resolution)
-		g = 6*n + (n+7)/8
-	}
-	return reads + g
+	return reads + EngineFor(backend).graphHostBytes(int64(2*numReads))
 }
 
 // MaxReadsForHostBudget inverts GraphHostModel: the largest numReads

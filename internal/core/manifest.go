@@ -145,7 +145,7 @@ func (c Config) fingerprint() string {
 		c.IncludeSingletons, c.BreakCycles, c.ParallelTraversal, c.PackedReads, c.DedupeReads, c.NaiveMapKernel, c.VerifyOverlaps)
 	// The resolved backend, not the raw knob: "" and "greedy" must
 	// fingerprint identically because they produce identical bytes.
-	fmt.Fprintf(h, "|backend=%s", c.backend())
+	fmt.Fprintf(h, "|backend=%s", EngineFor(c.GraphBackend).Name())
 	return hex.EncodeToString(h.Sum(nil))
 }
 

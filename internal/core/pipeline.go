@@ -24,14 +24,13 @@ import (
 	"repro/internal/kvio"
 	"repro/internal/obs"
 	"repro/internal/overlap"
-	"repro/internal/sgraph"
 	"repro/internal/stats"
-	"repro/internal/succinct"
 )
 
 // Pipeline is a single-node assembler instance.
 type Pipeline struct {
 	cfg     Config
+	engine  Engine // the Reduce/Compress engine Config.GraphBackend selects
 	dev     *gpu.Device
 	meter   *costmodel.Meter
 	hostMem stats.MemTracker
@@ -118,7 +117,7 @@ func New(cfg Config) (*Pipeline, error) {
 		// take pids 1..N.
 		dev.SetHooks(obs.DeviceHooks(cfg.Obs, 0))
 	}
-	p := &Pipeline{cfg: cfg, dev: dev, meter: meter}
+	p := &Pipeline{cfg: cfg, engine: EngineFor(cfg.GraphBackend), dev: dev, meter: meter}
 	if cfg.Streams {
 		p.ledger = costmodel.NewOverlapLedger(cfg.Profile())
 	}
@@ -146,21 +145,8 @@ func (p *Pipeline) HostMem() *stats.MemTracker { return &p.hostMem }
 // diagnostics).
 func (p *Pipeline) GraphMem() *stats.MemTracker { return &p.graphMem }
 
-// trackGraph charges n bytes of graph-representation memory to both the
-// host pool and the graph-attributable tracker; the returned func
-// releases both.
-func (p *Pipeline) trackGraph(n int64) func() {
-	p.hostMem.Add(n)
-	p.graphMem.Add(n)
-	return func() {
-		p.hostMem.Release(n)
-		p.graphMem.Release(n)
-	}
-}
-
-// graphSink adapts the pipeline's trackers to succinct.MemSink: the
-// succinct builder meters its own host bytes as they grow, and they
-// count against the host pool and the graph tracker alike.
+// graphSink is the engines' GraphMem: graph bytes count against the host
+// pool and the graph tracker alike.
 type graphSink struct{ p *Pipeline }
 
 func (s graphSink) Add(n int64)     { s.p.hostMem.Add(n); s.p.graphMem.Add(n) }
@@ -178,7 +164,7 @@ func (p *Pipeline) runPhase(name PhaseName, res *Result, fn func() error) error 
 	span := p.cfg.Obs.Tracer().Begin(p.track(), "stage", string(name)).
 		Metered(p.meter, p.cfg.Profile())
 	if name == PhaseReduce || name == PhaseCompress {
-		span.Arg("graph.backend", p.cfg.backend())
+		span.Arg("graph.backend", p.engine.Name())
 	}
 	before := p.meter.Snapshot()
 	savedBefore := p.ledger.SavedSeconds()
@@ -214,7 +200,7 @@ func (p *Pipeline) runPhase(name PhaseName, res *Result, fn func() error) error 
 	}
 	if name == PhaseReduce || name == PhaseCompress {
 		p.cfg.Obs.Metrics().Gauge(fmt.Sprintf("graph.host_peak_bytes{backend=%q}",
-			p.cfg.backend())).Set(p.graphPeakSeen)
+			p.engine.Name())).Set(p.graphPeakSeen)
 	}
 	res.Phases = append(res.Phases, ps)
 	res.TotalWall += ps.Wall
@@ -379,7 +365,7 @@ func (p *Pipeline) assembleInto(ctx context.Context, res *Result, rs dna.ReadSou
 			if err != nil {
 				return out, err
 			}
-			for _, l := range sortedLengthsDesc(counts) {
+			for _, l := range SortedLengthsDesc(counts) {
 				out.Artifacts = append(out.Artifacts,
 					relPartitionPath(kvio.Suffix, l, false),
 					relPartitionPath(kvio.Prefix, l, false))
@@ -417,7 +403,7 @@ func (p *Pipeline) assembleInto(ctx context.Context, res *Result, rs dna.ReadSou
 			if err != nil {
 				return out, err
 			}
-			for _, l := range sortedLengthsDesc(counts) {
+			for _, l := range SortedLengthsDesc(counts) {
 				out.Artifacts = append(out.Artifacts,
 					relPartitionPath(kvio.Suffix, l, true),
 					relPartitionPath(kvio.Prefix, l, true))
@@ -610,11 +596,11 @@ type sortTask struct {
 
 func (p *Pipeline) sortPhase(ctx context.Context, partDir string, counts map[int]int64, res *Result) error {
 	var tasks []sortTask
-	for _, l := range sortedLengthsDesc(counts) {
+	for _, l := range SortedLengthsDesc(counts) {
 		tasks = append(tasks, sortTask{l, kvio.Suffix}, sortTask{l, kvio.Prefix})
 	}
 	var mu sync.Mutex // guards res.SortDiskPasses
-	return runTasks(p.cfg.workers(), len(tasks), func(worker, i int) error {
+	return RunTasks(p.cfg.workers(), len(tasks), func(worker, i int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -655,75 +641,47 @@ func (p *Pipeline) sortPhase(ctx context.Context, partDir string, counts map[int
 	})
 }
 
-// reducePhase runs the configured reduce engine and persists the
-// accepted edge list to edgePath. In greedy mode candidates feed the
-// paper's bit-vector graph; under the succinct backend every candidate
-// enters the string graph and transitive edges are removed before
-// persisting.
+// reducePhase feeds the verified candidates, in the ordered runReduce
+// apply, through the configured engine and persists the surviving edges
+// to edgePath in the engine's edges.kv order.
 func (p *Pipeline) reducePhase(ctx context.Context, rs dna.ReadSource, partDir string,
 	counts map[int]int64, edgePath string, res *Result) error {
-	if p.cfg.backend() == BackendSuccinct {
-		return p.reduceSuccinct(ctx, rs, partDir, counts, edgePath, res)
-	}
-
-	// Descending length order makes the greedy graph keep the longest
-	// overlap per read (Section III-C).
-	g := graph.New(rs.NumReads())
-	defer p.trackGraph(g.ApproxBytes())()
-	err := p.runReduce(ctx, rs, partDir, counts, res, func(u, v uint32, l uint16) {
-		g.AddCandidate(u, v, l)
+	g, err := p.engine.Reduce(ctx, p.engineEnv(rs), func(add AddFunc) error {
+		return p.runReduce(ctx, rs, partDir, counts, res, func(u, v uint32, l uint16) { add(u, v, l) })
 	})
 	if err != nil {
 		return err
 	}
-	res.AcceptedEdges = g.NumEdges()
-	p.cfg.Obs.Metrics().Counter(`graph.nnz{backend="greedy"}`).Add(res.AcceptedEdges)
-	edges := g.Edges()
-	i := 0
-	_, err = writeEdgeFile(edgePath, p.meter, func() (persistedEdge, bool, error) {
-		if i >= len(edges) {
-			return persistedEdge{}, false, nil
-		}
-		e := edges[i]
-		i++
-		return persistedEdge{U: e.U, V: e.V, Len: e.Len}, true, nil
-	})
+	defer g.Release()
+	res.AcceptedEdges = g.Accepted()
+	res.ReducedEdges = g.Removed()
+	_, err = writeEdgeFile(edgePath, p.meter, g.LiveEdges())
 	return err
 }
 
-// reduceSuccinct feeds the verified candidates, in the ordered runReduce
-// apply, through the shared string-graph reduce and persists the
-// surviving edges to edges.kv in CSR order — the sorted-run order the
-// Compress rebuild validates.
-func (p *Pipeline) reduceSuccinct(ctx context.Context, rs dna.ReadSource, partDir string,
-	counts map[int]int64, edgePath string, res *Result) error {
-	sink := graphSink{p}
-	red, err := ReduceSuccinct(ctx, extsort.Config{
-		Device:           p.dev,
-		Meter:            p.meter,
-		HostMem:          &p.hostMem,
-		HostBlockPairs:   p.cfg.HostBlockPairs,
-		DeviceBlockPairs: p.cfg.DeviceBlockPairs,
-		// The spill scratch rides the sort_* naming convention so a
-		// crashed run's leftovers are swept with the other sort debris.
-		TempDir: filepath.Join(partDir, "sort_succinct"),
-		Obs:     p.cfg.Obs,
-		Overlap: p.ledger,
-	}, sink, rs, func(add func(u, v uint32, l uint16)) error {
-		return p.runReduce(ctx, rs, partDir, counts, res, add)
-	})
-	if err != nil {
-		return err
+// engineEnv is what the pipeline's engine runs against.
+func (p *Pipeline) engineEnv(rs dna.ReadSource) EngineEnv {
+	return EngineEnv{
+		Sort: extsort.Config{
+			Device:           p.dev,
+			Meter:            p.meter,
+			HostMem:          &p.hostMem,
+			HostBlockPairs:   p.cfg.HostBlockPairs,
+			DeviceBlockPairs: p.cfg.DeviceBlockPairs,
+			// The spill scratch rides the sort_* naming convention so a
+			// crashed run's leftovers are swept with the other sort debris.
+			TempDir: filepath.Join(p.cfg.Workspace, "partitions", "sort_succinct"),
+			Obs:     p.cfg.Obs,
+			Overlap: p.ledger,
+		},
+		GraphMem: graphSink{p},
+		Reads:    rs,
+		Traverse: graph.TraverseOptions{
+			IncludeSingletons: p.cfg.IncludeSingletons,
+			BreakCycles:       p.cfg.BreakCycles,
+		},
+		ParallelTraversal: p.cfg.ParallelTraversal,
 	}
-	defer sink.Release(red.Graph().HostBytes())
-	res.ReducedEdges = red.Removed
-	res.AcceptedEdges = red.Graph().NNZ() - red.Removed
-	next := red.LiveEdges()
-	_, err = writeEdgeFile(edgePath, p.meter, func() (persistedEdge, bool, error) {
-		e, ok, err := next()
-		return persistedEdge{U: e.U, V: e.V, Len: e.Len}, ok, err
-	})
-	return err
 }
 
 // edgeCand is one verified candidate overlap buffered between a reduce
@@ -763,7 +721,7 @@ func (p *Pipeline) runReduce(ctx context.Context, rs dna.ReadSource, partDir str
 		Obs:         p.cfg.Obs,
 		Overlap:     p.ledger,
 	}
-	lengths := sortedLengthsDesc(counts)
+	lengths := SortedLengthsDesc(counts)
 	lenHist := p.cfg.Obs.Metrics().Histogram("overlap.length",
 		64, 96, 128, 192, 256, 512, 1024)
 	reduceOne := func(worker, l int) partReduction {
@@ -897,9 +855,10 @@ func sweepSortScratch(partDir string) error {
 	return nil
 }
 
-// sortedLengthsDesc returns the partition lengths in descending order,
-// the deterministic schedule shared by the sort and reduce phases.
-func sortedLengthsDesc(counts map[int]int64) []int {
+// SortedLengthsDesc returns the partition lengths in descending order,
+// the deterministic schedule of the sort and reduce phases here and on
+// every cluster node.
+func SortedLengthsDesc(counts map[int]int64) []int {
 	lengths := make([]int, 0, len(counts))
 	for l := range counts {
 		lengths = append(lengths, l)
@@ -908,11 +867,12 @@ func sortedLengthsDesc(counts map[int]int64) []int {
 	return lengths
 }
 
-// runTasks runs n independent tasks on up to workers goroutines and
-// returns the first error. Remaining tasks are skipped after an error.
-// Each task receives the index of the worker running it, so callers can
-// attribute work to per-worker trace lanes.
-func runTasks(workers, n int, task func(worker, i int) error) error {
+// RunTasks runs n independent tasks on up to workers goroutines
+// (workers <= 1 runs them inline) and returns the first error. Remaining
+// tasks are skipped after an error. Each task receives the index of the
+// worker running it, so callers can attribute work to per-worker trace
+// lanes.
+func RunTasks(workers, n int, task func(worker, i int) error) error {
 	if workers > n {
 		workers = n
 	}
@@ -966,83 +926,32 @@ func (p *Pipeline) verifyOverlap(rs dna.ReadSource, u, v uint32, l int) bool {
 	return su[len(su)-l:].Equal(sv[:l])
 }
 
-// compressPhase rebuilds the configured graph from the persisted edge
-// list, traverses paths, and generates contigs. Loading from disk rather
+// compressPhase rebuilds the engine's graph from the persisted edge
+// list, extracts paths, and generates contigs. Loading from disk rather
 // than reusing Reduce's in-memory graph is deliberate: it is the single
 // code path shared by cold and resumed runs, so resumed output is
 // byte-identical by construction.
 func (p *Pipeline) compressPhase(rs dna.ReadSource, edgePath string, res *Result) error {
-	if p.cfg.backend() == BackendSuccinct {
-		// Rebuild the compressed store straight off the persisted sorted
-		// runs — the builder validates ordering and ranges as it streams,
-		// so a corrupted edge file fails here — and spell contigs from
-		// unitig chains directly over the compressed adjacency: no CSR
-		// matrix or pointer-based graph is ever materialized.
-		it, err := newEdgeFileIterator(edgePath, p.meter)
-		if err != nil {
-			return err
-		}
-		sink := graphSink{p}
-		g, err := succinct.FromEdgeRunsMetered(2*rs.NumReads(), sink,
-			func() (succinct.Edge, bool, error) {
-				e, ok, err := it.Next()
-				return succinct.Edge{U: e.U, V: e.V, Len: e.Len}, ok, err
-			})
-		if cerr := it.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-		defer sink.Release(g.HostBytes())
-		paths := sgraph.UnitigsOf(g, rs.VertexLen, p.cfg.IncludeSingletons)
-		return p.writeContigs(rs, paths, res)
-	}
-	g := graph.New(rs.NumReads())
-	defer p.trackGraph(g.ApproxBytes())()
-	err := readEdgeFile(edgePath, p.meter, func(e persistedEdge) {
-		g.InstallEdge(graph.Edge{U: e.U, V: e.V, Len: e.Len})
-	})
+	it, err := newEdgeFileIterator(edgePath, p.meter)
 	if err != nil {
 		return err
 	}
-	opts := graph.TraverseOptions{
-		IncludeSingletons: p.cfg.IncludeSingletons,
-		BreakCycles:       p.cfg.BreakCycles,
+	g, err := p.engine.Load(p.engineEnv(rs), it.Next)
+	if cerr := it.Close(); err == nil && cerr != nil {
+		g.Release()
+		err = cerr
 	}
-	var paths []graph.Path
-	if p.cfg.ParallelTraversal {
-		paths = g.TraverseParallel(p.dev, rs.VertexLen, opts)
-	} else {
-		paths = g.Traverse(rs.VertexLen, opts)
+	if err != nil {
+		return err
 	}
-	return p.writeContigs(rs, paths, res)
-}
-
-// writeContigs generates contig sequences from paths and writes the FASTA
-// output.
-func (p *Pipeline) writeContigs(rs dna.ReadSource, paths []graph.Path, res *Result) error {
-	res.Contigs = contig.Generate(contig.Config{Device: p.dev}, paths, rs)
+	defer g.Release()
+	res.Contigs = contig.Generate(contig.Config{Device: p.dev}, g.Paths(), rs)
 	res.ContigStats = contig.Summarize(res.Contigs)
-
 	res.ContigPath = filepath.Join(p.cfg.Workspace, contigFileName)
-	f, err := os.Create(res.ContigPath)
+	written, err := contig.WriteFASTA(res.ContigPath, res.Contigs)
 	if err != nil {
-		return err
-	}
-	w := fastq.NewFastaWriter(f, 80)
-	var written int64
-	for i, c := range res.Contigs {
-		if err := w.Write(fastq.Record{Name: fmt.Sprintf("contig%d len=%d", i, len(c)), Seq: c}); err != nil {
-			f.Close()
-			return err
-		}
-		written += int64(len(c))
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
 		return err
 	}
 	p.meter.AddDiskWrite(written)
-	return f.Close()
+	return nil
 }

@@ -15,7 +15,7 @@ import (
 	"repro/internal/succinct"
 )
 
-// reduceOverlaps runs ReduceSuccinct over a fixed candidate list on
+// reduceOverlaps runs reduceSuccinct over a fixed candidate list on
 // numReads length-100 reads and returns the store's edges, the
 // reduction, and the host tracker it charged.
 func reduceOverlaps(t *testing.T, numReads int, ovs [][3]int) ([]succinct.Edge, *succinct.Reduction, *stats.MemTracker) {
@@ -26,14 +26,14 @@ func reduceOverlaps(t *testing.T, numReads int, ovs [][3]int) ([]succinct.Edge, 
 	}
 	meter := costmodel.NewMeter()
 	var mem stats.MemTracker
-	red, err := ReduceSuccinct(context.Background(), extsort.Config{
+	red, err := reduceSuccinct(context.Background(), extsort.Config{
 		Device:           gpu.NewDevice(gpu.K40, meter),
 		Meter:            meter,
 		HostMem:          &mem,
 		HostBlockPairs:   64,
 		DeviceBlockPairs: 16,
 		TempDir:          filepath.Join(t.TempDir(), "sort_succinct"),
-	}, &mem, rs, func(add func(u, v uint32, l uint16)) error {
+	}, &mem, rs, func(add AddFunc) error {
 		for _, o := range ovs {
 			add(uint32(o[0]), uint32(o[1]), uint16(o[2]))
 		}

@@ -8,7 +8,7 @@
 // neither u nor v' (the complement of v) already has an outgoing edge;
 // acceptance records both (u, v, l) and the implied complementary edge
 // (v', u', l) and sets both out-degree bits. Because in-degree(v) equals
-// out-degree(v'), one bit-vector suffices — the same bit-vector that the
+// out-degree(v'), one bit-vector suffices — the bit-vector the paper's
 // distributed reduce phase forwards between nodes as a token.
 //
 // Candidates must be offered in descending overlap length (the pipeline
@@ -17,8 +17,6 @@
 package graph
 
 import (
-	"fmt"
-
 	"repro/internal/bitvec"
 	"repro/internal/dna"
 )
@@ -54,26 +52,15 @@ type Graph struct {
 	numEdges int64
 }
 
-// New creates a graph over numReads reads (2*numReads vertices) with a
-// fresh out-degree bit-vector.
+// New creates a graph over numReads reads (2*numReads vertices).
 func New(numReads int) *Graph {
-	return NewWithVector(numReads, bitvec.New(2*numReads))
-}
-
-// NewWithVector creates a graph that uses the supplied out-degree
-// bit-vector, which the distributed reduce phase passes between nodes. The
-// vector must have exactly 2*numReads bits.
-func NewWithVector(numReads int, out *bitvec.Vector) *Graph {
-	if out.Len() != 2*numReads {
-		panic(fmt.Sprintf("graph: bit-vector has %d bits, want %d", out.Len(), 2*numReads))
-	}
 	next := make([]uint32, 2*numReads)
 	for i := range next {
 		next[i] = NoVertex
 	}
 	return &Graph{
 		numReads: numReads,
-		out:      out,
+		out:      bitvec.New(2 * numReads),
 		next:     next,
 		olen:     make([]uint16, 2*numReads),
 	}
@@ -88,9 +75,6 @@ func (g *Graph) NumVertices() int { return 2 * g.numReads }
 // NumEdges returns the number of directed edges added (complementary
 // edges counted).
 func (g *Graph) NumEdges() int64 { return g.numEdges }
-
-// OutVector exposes the out-degree bit-vector (the distributed token).
-func (g *Graph) OutVector() *bitvec.Vector { return g.out }
 
 // AddCandidate offers the candidate edge (u, v, l) and reports whether it
 // was accepted. Self-loops (u == v) and hairpins (u == v') are rejected,
@@ -116,11 +100,9 @@ func (g *Graph) AddCandidate(u, v uint32, l uint16) bool {
 }
 
 // InstallEdge records a single directed edge without the greedy checks
-// and without adding the complementary edge. It exists for the
-// distributed reduce: workers accept candidates under the shared
-// bit-vector token (which already enforced the greedy discipline) and
-// ship their disjoint edge sets to the master, which installs them
-// verbatim (Section III-E.3 stores the graph as disjoint edge sets).
+// and without adding the complementary edge. It rebuilds a graph from
+// edges a greedy graph already accepted — the persisted edges.kv list,
+// which holds every complementary edge in its own right.
 func (g *Graph) InstallEdge(e Edge) {
 	bset(g.out, e.U)
 	g.next[e.U] = e.V

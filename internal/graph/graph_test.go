@@ -1,10 +1,6 @@
 package graph
 
-import (
-	"testing"
-
-	"repro/internal/bitvec"
-)
+import "testing"
 
 func lenFn(n int) func(uint32) int { return func(uint32) int { return n } }
 
@@ -71,32 +67,6 @@ func TestDescendingLengthPreference(t *testing.T) {
 	if tgt, l, _ := g.OutEdge(0); tgt != 2 || l != 90 {
 		t.Errorf("out edge = (%d,%d)", tgt, l)
 	}
-}
-
-func TestNewWithVectorSharedToken(t *testing.T) {
-	vec := bitvec.New(6)
-	g1 := NewWithVector(3, vec)
-	g1.AddCandidate(0, 2, 10)
-	// A second graph sharing the token sees 0 and 3 as taken.
-	g2 := NewWithVector(3, vec)
-	if g2.AddCandidate(0, 4, 9) {
-		t.Error("shared bit-vector should block reuse of vertex 0")
-	}
-	if g2.AddCandidate(4, 2, 9) {
-		t.Error("shared bit-vector should block a second in-edge to 2")
-	}
-	if !g2.AddCandidate(2, 4, 9) {
-		t.Error("vertex 2 out-edge should still be free")
-	}
-}
-
-func TestNewWithVectorPanicsOnSizeMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on wrong vector size")
-		}
-	}()
-	NewWithVector(3, bitvec.New(5))
 }
 
 func TestEdgesListing(t *testing.T) {

@@ -289,8 +289,8 @@ func TestServerFleetEndpoints(t *testing.T) {
 		t.Errorf("job listing embeds %d fleet devices, want 2", len(listing.Fleet.Devices))
 	}
 
-	// Fleet-shape validation: bad lane 400s, impossible shard counts 422,
-	// sharded-incompatible knobs 400.
+	// Fleet-shape validation: bad lane and malformed shard counts 400,
+	// impossible shard counts 422, sharded-incompatible knobs 400.
 	post := func(query string) int {
 		t.Helper()
 		body := "@r1\nACGTACGTACGTACGTACGTACGTACGTACGTACGTACGT\n+\nIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIII\n"
@@ -304,6 +304,11 @@ func TestServerFleetEndpoints(t *testing.T) {
 	}
 	if got := post("?lmin=31&priority=urgent"); got != http.StatusBadRequest {
 		t.Errorf("unknown priority: status %d, want 400", got)
+	}
+	for _, shards := range []string{"0", "-1", "x"} {
+		if got := post("?lmin=31&shards=" + shards); got != http.StatusBadRequest {
+			t.Errorf("shards=%s: status %d, want 400", shards, got)
+		}
 	}
 	if got := post("?lmin=31&shards=3"); got != http.StatusUnprocessableEntity {
 		t.Errorf("shards beyond fleet size: status %d, want 422", got)

@@ -593,8 +593,8 @@ func parseParams(r *http.Request) (Params, error) {
 		p.GraphBackend = v
 	}
 	if v := q.Get("priority"); v != "" {
-		if !slices.Contains(core.Priorities, v) {
-			return p, fmt.Errorf("invalid priority %q (want one of %v)", v, core.Priorities)
+		if !slices.Contains(Priorities, v) {
+			return p, fmt.Errorf("invalid priority %q (want one of %v)", v, Priorities)
 		}
 		p.Priority = v
 	}

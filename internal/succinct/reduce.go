@@ -37,7 +37,8 @@ type ReduceConfig struct {
 // Reduction is the outcome of a transitive-reduction pass: the mask
 // over the store's entries plus the metered totals.
 type Reduction struct {
-	g       *Graph
+	g *Graph
+	// removed masks the transitive entries; nil means none is masked.
 	removed []bool
 	// Removed counts the directed edges masked as transitive.
 	Removed int64
@@ -49,6 +50,13 @@ type Reduction struct {
 
 // Graph returns the underlying compressed store.
 func (r *Reduction) Graph() *Graph { return r.g }
+
+// Unreduced returns g as a Reduction that masked nothing, for a store
+// rebuilt from edges that were already reduced: every entry is live.
+func (g *Graph) Unreduced() *Reduction { return &Reduction{g: g} }
+
+// live reports whether store entry k survived the reduction.
+func (r *Reduction) live(k int64) bool { return r.removed == nil || !r.removed[k] }
 
 // Live streams the surviving (non-masked) edges in CSR order, returning
 // the first decode error after streaming the edges before it.
@@ -86,7 +94,7 @@ func (r *Reduction) LiveEdges() func() (Edge, bool, error) {
 					break
 				}
 				k++
-				if !r.removed[k-1] {
+				if r.live(k - 1) {
 					return Edge{U: d.u, V: v, Len: l}, true, nil
 				}
 				continue
@@ -105,8 +113,7 @@ func (r *Reduction) LiveEdges() func() (Edge, bool, error) {
 
 // LiveView returns a traversal view over the surviving edges only,
 // satisfying sgraph.Traversable so unitig extraction runs directly on
-// the masked compressed store (the cluster path uses this; the
-// single-node path round-trips through edges.kv instead).
+// the masked compressed store.
 func (r *Reduction) LiveView() *LiveView { return &LiveView{r: r} }
 
 // LiveView adapts a Reduction to sgraph.Traversable.
@@ -130,7 +137,7 @@ func (v *LiveView) EachOut(u uint32, fn func(to uint32, l uint16) bool) {
 		if err != nil {
 			return
 		}
-		if !v.r.removed[k] && !fn(to, l) {
+		if v.r.live(k) && !fn(to, l) {
 			return
 		}
 	}

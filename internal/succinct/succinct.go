@@ -232,8 +232,7 @@ func (g *Graph) DecodeRow(u uint32, cols []uint32, vals []uint16) ([]uint32, []u
 
 // EachOut visits the out-edges of v in ascending target order, stopping
 // early when fn returns false. It implements sgraph.Traversable over
-// the full (unmasked) edge set — the shape compressPhase rebuilds from
-// the persisted live edges — and decodes in place, allocating nothing.
+// the full (unmasked) edge set and decodes in place, allocating nothing.
 // The interface has no error return: a decode error ends the visit, and
 // cannot occur on a Builder-sealed graph.
 func (g *Graph) EachOut(v uint32, fn func(to uint32, l uint16) bool) {
